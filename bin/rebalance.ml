@@ -594,7 +594,6 @@ exception Terminated
 
 let serve_cmd =
   let module Engine = Rebal_online.Engine in
-  let module Shard = Rebal_online.Shard in
   let module Supervisor = Rebal_online.Supervisor in
   let module Cluster = Rebal_online.Cluster in
   let module Protocol = Rebal_online.Protocol in
@@ -631,9 +630,9 @@ let serve_cmd =
             "Run the shard engines on $(docv) parallel worker domains (clamped to \
              --shards; shard $(i,i) is owned by domain $(i,i) mod $(docv)). Each shard's \
              engine, journal and metrics are confined to its owner domain behind a bounded \
-             command mailbox; cross-shard rebalancing uses journaled two-phase transfers, \
-             so per-shard journals stay individually replayable. Incompatible with \
-             --supervise.")
+             command mailbox. Without this flag the engines run on the session's own \
+             thread. Either way cross-shard rebalancing uses journaled two-phase \
+             transfers, so per-shard journals stay individually replayable.")
   in
   let tcp =
     Arg.(
@@ -643,9 +642,9 @@ let serve_cmd =
           ~doc:
             "Listen on 127.0.0.1:$(docv) and serve many clients concurrently, one session \
              thread per connection (pipelining allowed; ERR lines stay numbered per \
-             session). Port 0 picks a free port (printed on stdout). With --domains the \
-             sessions run against the parallel runtime; otherwise they are serialized \
-             against the single engine/router under one operation lock.")
+             session). Port 0 picks a free port (printed on stdout). With --domains (and \
+             no --supervise) the sessions run concurrently against the parallel runtime; \
+             otherwise they are serialized under one operation lock.")
   in
   let auto_events =
     Arg.(
@@ -780,8 +779,8 @@ let serve_cmd =
      A dropped connection — EOF (even mid-line) on the read side, a
      closed pipe (Sys_error / EPIPE) on either side — ends the session,
      never the daemon. [lock] serializes command execution when the
-     target is not internally thread-safe (anything but Parallel) yet
-     several threads touch it — concurrent TCP sessions, the telemetry
+     target is not internally thread-safe (see [Protocol.concurrent])
+     yet several threads touch it — concurrent TCP sessions, the telemetry
      sampler. Blocking reads happen outside the lock, so an idle
      session never starves the others.
 
@@ -867,9 +866,6 @@ let serve_cmd =
     (match domains with
     | Some d when d < 1 ->
       Printf.eprintf "error: --domains must be positive (got %d)\n" d;
-      exit 1
-    | Some _ when supervise ->
-      Printf.eprintf "error: --supervise and --domains are mutually exclusive\n";
       exit 1
     | _ -> ());
     if tcp <> None && socket <> None then begin
@@ -971,27 +967,22 @@ let serve_cmd =
       | Some base -> journaled_engine ~m:m_i (shard_journal_path base i)
     in
     let target =
-      match domains with
-      | Some d -> begin
-        (* The parallel runtime: engines built per shard by the cluster
-           so each binds (metric handles, journal drop counters) to its
-           owner domain's registry. *)
-        match Cluster.of_engines ~domains:d ~shards shard_engine with
-        | Ok c -> Protocol.Parallel c
-        | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      end
-      | None ->
-      if shards = 1 then
+      if shards = 1 && domains = None then
         Protocol.Single
           (match journal_file with
           | None -> fresh_engine ~m:procs ()
           | Some path -> journaled_engine ~m:procs path)
       else begin
-        let engines = Array.init shards shard_engine in
-        match Shard.of_engines engines with
-        | Ok s ->
+        (* The router builds each shard's engine itself, so with worker
+           domains every engine binds (metric handles, journal drop
+           counters) to its owner domain's registry; without them the
+           engines run inline on the session's thread. *)
+        let domains = Option.value domains ~default:0 in
+        match Cluster.of_engines ~domains ~shards shard_engine with
+        | Error msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit 1
+        | Ok c ->
           if supervise then begin
             let config =
               {
@@ -999,22 +990,18 @@ let serve_cmd =
                 Supervisor.evac_budget = Option.value evac_budget ~default:max_int;
               }
             in
-            Protocol.Supervised (Supervisor.create ~config s)
+            Protocol.Supervised (Supervisor.create ~config c)
           end
-          else Protocol.Cluster s
-        | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
+          else Protocol.Cluster c
       end
     in
     (* ----- continuous telemetry ----- *)
-    (* The operation lock: everything that touches a non-Parallel target
-       from more than one thread — concurrent TCP sessions, the sampler
-       tick — runs under it. Parallel targets are internally thread-safe
-       (mailbox-confined engines) and skip it. *)
-    let op_lock =
-      match target with Protocol.Parallel _ -> None | _ -> Some (Mutex.create ())
-    in
+    (* The operation lock: everything that touches a target that is not
+       thread-safe (an inline router, a single engine, anything under
+       the supervisor) from more than one thread — concurrent TCP
+       sessions, the sampler tick — runs under it. A router with worker
+       domains confines its engines to their owners and skips it. *)
+    let op_lock = if Protocol.concurrent target then None else Some (Mutex.create ()) in
     let with_op_lock f =
       match op_lock with
       | None -> f ()
@@ -1127,28 +1114,11 @@ let serve_cmd =
       match metrics_file with
       | None -> ()
       | Some path -> (
-        match target with
-        | Protocol.Parallel _ ->
-          (* The parallel exposition merges the worker-domain registries
-             into a fresh one — metrics_lines is that path; reuse it. *)
-          (try
-             let oc = open_out path in
-             List.iter
-               (fun l ->
-                 output_string oc l;
-                 output_char oc '\n')
-               (Protocol.metrics_lines target);
-             close_out oc
-           with Sys_error e ->
-             Printf.eprintf "rebalance serve: metrics dump failed: %s\n%!" e)
-        | _ ->
-          Protocol.export_target target;
-          (match
-             Expo.to_file ~trailer:"# EOF" Expo.Prometheus ~path
-               (Metrics.Registry.current ())
-           with
-          | Ok () -> ()
-          | Error e -> Printf.eprintf "rebalance serve: metrics dump failed: %s\n%!" e))
+        match
+          Expo.to_file ~trailer:"# EOF" Expo.Prometheus ~path (Protocol.metrics_registry target)
+        with
+        | Ok () -> ()
+        | Error e -> Printf.eprintf "rebalance serve: metrics dump failed: %s\n%!" e)
     in
     if metrics_file <> None then begin
       try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> dump_metrics ()))
@@ -1159,13 +1129,7 @@ let serve_cmd =
        journal, and the channels are flushed and closed cleanly. *)
     let final_snapshot () =
       if journal_file <> None then
-        try
-          match target with
-          | Protocol.Single e -> ignore (Engine.journal_snapshot e)
-          | Protocol.Cluster s -> ignore (Shard.journal_snapshot s)
-          | Protocol.Supervised sup -> ignore (Shard.journal_snapshot (Supervisor.cluster sup))
-          | Protocol.Parallel c -> ignore (Cluster.journal_snapshot c)
-        with Failure msg ->
+        try ignore (Protocol.execute target Protocol.Snapshot_now) with Failure msg ->
           Printf.eprintf "rebalance serve: final snapshot failed: %s\n%!" msg
     in
     let term_handler = Sys.Signal_handle (fun _ -> raise Terminated) in
@@ -1181,9 +1145,7 @@ let serve_cmd =
         stop_telemetry ();
         final_snapshot ();
         dump_metrics ();
-        (match target with
-        | Protocol.Parallel c -> Cluster.shutdown c
-        | Protocol.Single _ | Protocol.Cluster _ | Protocol.Supervised _ -> ());
+        Option.iter Cluster.shutdown (Protocol.router target);
         List.iter (fun oc -> try close_out oc with Sys_error _ -> ()) !opened)
     @@ fun () ->
     try
@@ -1198,7 +1160,8 @@ let serve_cmd =
         in
         Printf.printf "rebalance serve: listening on 127.0.0.1:%d (procs=%d, shards=%d, domains=%d)\n%!"
           actual procs shards
-          (match target with Protocol.Parallel c -> Cluster.domain_count c | _ -> 1);
+          (* the caller's own domain runs a single engine or an inline router *)
+          (match Protocol.router target with Some c -> max 1 (Cluster.domain_count c) | None -> 1);
         (* Scrape dispatch: a connection whose first bytes sniff as an
            HTTP request gets one GET /metrics-style answer and closes;
            everything else is a line-protocol session. The sniff peeks
@@ -1278,9 +1241,9 @@ let serve_cmd =
           line-delimited protocol (ADD/REMOVE/RESIZE/REBALANCE/STATS/METRICS) on stdin or a \
           Unix domain socket. With --shards, processors are partitioned across that many \
           independent engines behind a consistent-hash router; with --domains, the shard \
-          engines run on parallel worker domains behind bounded mailboxes and --tcp serves \
-          many clients concurrently over TCP; with --journal, restarts resume from the \
-          recorded state; with --supervise, shard health is tracked and a dead shard's \
+          engines run on parallel worker domains behind bounded mailboxes; --tcp serves \
+          many clients over TCP (concurrently with --domains); with --journal, restarts \
+          resume from the recorded state; with --supervise, shard health is tracked and a dead shard's \
           jobs are evacuated onto the survivors; with --telemetry-interval / \
           --telemetry-out / --alert-rules, a sampler thread feeds an in-process \
           time-series store (TSDB verb, GET /tsdb), evaluates SLO alert rules against it \
@@ -1555,11 +1518,13 @@ let top_cmd =
       if not !tsdb_ok then None
       else begin
         send oc (Printf.sprintf "TSDB rebal_engine_events_total{shard=\"%d\"} 60s" i);
-        match recv_until_eof ic with
-        | l :: _ when is_err l ->
+        (* An ERR reply is a single line, with no [# EOF] after it. *)
+        match recv ic with
+        | l when is_err l ->
           tsdb_ok := false;
           None
-        | lines ->
+        | first ->
+          let lines = if first = "# EOF" then [] else first :: recv_until_eof ic in
           let lasts =
             List.filter_map
               (fun l ->
@@ -1996,8 +1961,8 @@ let postmortem_cmd =
 
 
 (* The online counterpart of `chaos`: instead of simulating policies
-   over traffic curves, it drives a real supervised shard cluster —
-   the same Engine/Shard/Supervisor stack `serve --supervise` runs —
+   over traffic curves, it drives a real supervised shard router —
+   the same Engine/Cluster/Supervisor stack `serve --supervise` runs —
    through a seeded workload while a seeded fault plan kills and
    revives shards. Every shard journals to memory, so the run ends
    with the full robustness audit: work conservation against a
@@ -2006,7 +1971,7 @@ let postmortem_cmd =
    failure makes it a CI smoke test. *)
 let chaos_serve_cmd =
   let module Engine = Rebal_online.Engine in
-  let module Shard = Rebal_online.Shard in
+  let module Cluster = Rebal_online.Cluster in
   let module Supervisor = Rebal_online.Supervisor in
   let module Protocol = Rebal_online.Protocol in
   let module Tsdb = Rebal_obs.Tsdb in
@@ -2124,9 +2089,9 @@ let chaos_serve_cmd =
        engines' ordinary sinks, replayed wholesale at the end. *)
     let buffers = Array.init shards (fun _ -> Buffer.create 4096) in
     let cluster =
-      Shard.create
+      Cluster.create
         ~journal_for:(fun i -> Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m:procs ~shards ()
+        ~domains:0 ~m:procs ~shards ()
     in
     let time = ref 0 in
     let config =
@@ -2271,7 +2236,7 @@ let chaos_serve_cmd =
       let serving = Supervisor.serving_shards sup in
       downtime_weighted :=
         !downtime_weighted
-        +. (float_of_int (Shard.makespan cluster) *. float_of_int (1 + shards - serving));
+        +. (float_of_int (Cluster.makespan cluster) *. float_of_int (1 + shards - serving));
       match telemetry with
       | None -> ()
       | Some (tsdb, alerts) ->
@@ -2282,7 +2247,7 @@ let chaos_serve_cmd =
     let lost =
       Hashtbl.fold
         (fun id size acc ->
-          match Shard.find cluster id with
+          match Cluster.find cluster id with
           | Some (sz, _) when sz = size -> acc
           | Some _ | None -> id :: acc)
         model []
@@ -2290,17 +2255,17 @@ let chaos_serve_cmd =
     if lost <> [] then
       failf "%d job(s) lost or corrupted (e.g. %s)" (List.length lost)
         (List.hd (List.sort compare lost));
-    if Shard.job_count cluster <> Hashtbl.length model then
+    if Cluster.job_count cluster <> Hashtbl.length model then
       failf "cluster holds %d job(s), workload expects %d (strays or duplicates)"
-        (Shard.job_count cluster) (Hashtbl.length model);
-    if not (Shard.check_consistency cluster ~k:16) then failf "cluster consistency check failed";
+        (Cluster.job_count cluster) (Hashtbl.length model);
+    if not (Cluster.check_consistency cluster ~k:16) then failf "cluster consistency check failed";
     let replays_clean = ref 0 in
     Array.iteri
       (fun i buf ->
         match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.resume with
         | Error msg -> failf "shard %d journal replay: %s" i msg
         | Ok (eng, _) ->
-          let live_eng = Shard.engine cluster i in
+          let live_eng = Cluster.engine cluster i in
           let same_jobs =
             Engine.fold_jobs live_eng
               (fun acc ~id ~size ~proc ->
@@ -2346,8 +2311,8 @@ let chaos_serve_cmd =
       Printf.printf "  mean recovery: %.1f steps\n"
         (float_of_int (List.fold_left ( + ) 0 xs) /. float_of_int (List.length xs)));
     Printf.printf "  downtime-weighted makespan: %.0f\n" !downtime_weighted;
-    Printf.printf "  jobs live: %d, makespan: %d\n" (Shard.job_count cluster)
-      (Shard.makespan cluster);
+    Printf.printf "  jobs live: %d, makespan: %d\n" (Cluster.job_count cluster)
+      (Cluster.makespan cluster);
     (match telemetry with
     | None -> ()
     | Some (tsdb, alerts) ->

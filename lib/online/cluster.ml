@@ -8,6 +8,26 @@ type move = Engine.move = {
   dst : int;
 }
 
+type stats = {
+  shards : int;
+  jobs : int;
+  procs : int;
+  makespan : int;
+  total_size : int;
+  imbalance : float;
+  events : int;
+  adds : int;
+  removes : int;
+  resizes : int;
+  rebalances : int;
+  auto_rebalances : int;
+  trigger_firings : int;
+  moved : int;
+  inter_moves : int;
+  consistency_checks : int;
+  consistency_failures : int;
+}
+
 exception Shut_down
 
 (* What the residency directory knows about an id. The transient
@@ -40,16 +60,21 @@ type envelope = {
 }
 
 type t = {
-  engines : Engine.t array;
+  engines : Engine.t array;  (* slot i written only on shard i's owner *)
   offsets : int array;  (* shard i owns global procs [offsets.(i), ...) *)
   m : int;
-  ring : Shard.ring;
-  (* Shard i is owned by worker domain [owner.(i)]: all of shard i's
-     engine work runs on that one domain, in mailbox order — per-shard
-     FIFO and single-writer confinement (engine state, journal sink,
-     metric handles) fall out of the ownership map. With
-     domains = shards this is domain-per-shard; with fewer domains,
-     shards are multiplexed round-robin. *)
+  (* Consistent-hash ring: sorted (point, shard, replica) triples; a
+     job id hashes to the first point at or after its hash (wrapping).
+     The replica index lets a weight activate a prefix of a shard's
+     virtual nodes. *)
+  ring : (int * int * int) array;
+  weights : float array;  (* under dir_mu *)
+  (* The executor. No workers (every array below empty) is the inline
+     executor: tasks run on the caller's thread. Otherwise shard i is
+     owned by worker domain [owner.(i)]: all of shard i's engine work
+     runs on that one domain, in mailbox order — per-shard FIFO and
+     single-writer confinement (engine state, journal sink, metric
+     handles) fall out of the ownership map. *)
   owner : int array;
   mailboxes : envelope Mailbox.t array;  (* one per worker domain *)
   workers : unit Domain.t array;
@@ -63,13 +88,80 @@ type t = {
   dir_mu : Mutex.t;
   dir_settled : Condition.t;
   directory : (string, residency) Hashtbl.t;
+  (* [Resident s] per shard, shared by every entry settled there: the
+     directory outlives the minor heap, and a fresh block per settle
+     would be promoted garbage on every op. *)
+  resident : residency array;
   mutable inter_moves : int;  (* under dir_mu *)
   mutable stopped : bool;  (* under dir_mu *)
 }
 
 let pf = Printf.sprintf
 
-(* ----- worker domains and the synchronous call fabric ----- *)
+(* ----- the consistent-hash ring ----- *)
+
+(* FNV-1a, 32-bit, finished with murmur3's fmix32 avalanche: stable
+   across runs and OCaml versions, unlike [Hashtbl.hash] which is
+   documented to vary. Raw FNV-1a clusters badly on short sequential
+   ids ("j0".."j9999" share their high bits), which skews both the
+   vnode arcs and the job placement; the finalizer disperses them. *)
+let hash32 s =
+  let h = ref 0x811c9dc5 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
+  let h = ref (!h lxor (!h lsr 16)) in
+  h := !h * 0x85ebca6b land 0xFFFFFFFF;
+  h := !h lxor (!h lsr 13);
+  h := !h * 0xc2b2ae35 land 0xFFFFFFFF;
+  !h lxor (!h lsr 16)
+
+let ring_points_per_shard = 64
+
+let make_ring shards =
+  let points = Array.init (shards * ring_points_per_shard) (fun i ->
+      let shard = i / ring_points_per_shard and replica = i mod ring_points_per_shard in
+      (hash32 (pf "shard:%d:%d" shard replica), shard, replica))
+  in
+  Array.sort compare points;
+  points
+
+(* A shard with weight [w] keeps its first [ceil (w * 64)] replicas
+   active: weight 1 is the full ring, weight 0 is none. Activating a
+   prefix rather than rescaling hashes means ramping a weight up or
+   down only flips that shard's own arcs — other shards' points never
+   move. *)
+let active_replicas w =
+  if w <= 0.0 then 0
+  else min ring_points_per_shard (int_of_float (ceil (w *. float_of_int ring_points_per_shard)))
+
+(* Binary search for the first point with hash >= h, wrapping to the
+   first point past the top of the ring, then walk forward (wrapping)
+   past points whose shard has deactivated that replica. *)
+let ring_lookup ring weights h =
+  let n = Array.length ring in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let p, _, _ = ring.(mid) in
+    if p < h then lo := mid + 1 else hi := mid
+  done;
+  let start = if !lo = n then 0 else !lo in
+  let rec walk i remaining =
+    if remaining = 0 then begin
+      (* Every shard weighted to zero: fall back to the unweighted ring
+         so routing still answers (the supervisor is the one that
+         refuses service on an all-down router). *)
+      let _, s, _ = ring.(start) in
+      s
+    end
+    else begin
+      let _, s, replica = ring.(i) in
+      if replica < active_replicas weights.(s) then s
+      else walk (if i + 1 = n then 0 else i + 1) (remaining - 1)
+    end
+  in
+  walk start n
+
+(* ----- the executor ----- *)
 
 (* A write-once cell the coordinator parks on until the owner domain
    has run its closure. *)
@@ -153,6 +245,8 @@ let worker_loop w registry mailbox =
   in
   loop ()
 
+let inline t = Array.length t.workers = 0
+
 (* Submit an envelope to worker [w], timing how long the send blocked
    on a full mailbox (the backpressure signal).
    @raise Shut_down if the mailbox is closed. *)
@@ -162,99 +256,118 @@ let post t w env =
   Metrics.Histogram.observe_ns t.send_block.(w) (Int64.sub (Timer.now_ns ()) t0);
   if not accepted then raise Shut_down
 
-(* Run [f] on shard [s]'s engine, on [s]'s owner domain, and wait for
-   the result. Tasks never raise out of the worker (that would kill
-   the domain and strand every later sender): exceptions are carried
-   back and re-raised here, so a worker-side [failwith] or
-   [Invalid_argument] surfaces on the calling thread exactly as it
-   would on the sequential path. [label] names the worker-side span
-   when the calling op is being traced.
+(* Start [f] on shard [s]'s engine and return the wait for its outcome.
+   Inline, [f] runs right here and the wait is already answered; with
+   workers it is posted to [s]'s owner and the wait parks on a reply
+   cell. Tasks never raise out of a worker (that would kill the domain
+   and strand every later sender): exceptions are carried back as the
+   outcome, and {!get} re-raises them on the calling thread exactly as
+   the inline path would. [label] names the worker-side span when the
+   calling op is being traced; a fan-out looks its [carrier] up once.
    @raise Shut_down if the cluster has shut down. *)
-let run ?(label = "task") t s f =
-  let iv = Ivar.create () in
-  let env =
-    {
-      run = (fun () -> Ivar.fill iv (match f t.engines.(s) with v -> Ok v | exception e -> Error e));
-      enq_ns = Timer.now_ns ();
-      carrier = Optrace.current_carrier ();
-      label;
-      shard = s;
-    }
-  in
-  post t t.owner.(s) env;
-  let t0 = Timer.now_ns () in
-  let r = Ivar.read iv in
-  Metrics.Histogram.observe_ns t.reply_wait.(s) (Int64.sub (Timer.now_ns ()) t0);
-  match r with
-  | Ok v -> v
-  | Error e -> raise e
+let submit ?(label = "task") ?carrier t s f =
+  let task e = match f e with v -> Ok v | exception e -> Error e in
+  if inline t then begin
+    if t.stopped then raise Shut_down;
+    let r = task t.engines.(s) in
+    fun () -> r
+  end
+  else begin
+    let iv = Ivar.create () in
+    post t t.owner.(s)
+      {
+        run = (fun () -> Ivar.fill iv (task t.engines.(s)));
+        enq_ns = Timer.now_ns ();
+        carrier = (match carrier with Some c -> c | None -> Optrace.current_carrier ());
+        label;
+        shard = s;
+      };
+    fun () -> Ivar.read iv
+  end
 
-(* Fan [f] out to every shard — all tasks enqueued before any reply is
-   awaited, so independent shards genuinely overlap. *)
-let run_all ?(label = "task") t f =
-  let carrier = Optrace.current_carrier () in
-  let ivs =
-    Array.init (Array.length t.engines) (fun s ->
-        let iv = Ivar.create () in
-        let env =
-          {
-            run =
-              (fun () ->
-                Ivar.fill iv (match f s t.engines.(s) with v -> Ok v | exception e -> Error e));
-            enq_ns = Timer.now_ns ();
-            carrier;
-            label;
-            shard = s;
-          }
-        in
-        post t t.owner.(s) env;
-        iv)
-  in
-  Array.map (fun iv -> match Ivar.read iv with Ok v -> v | Error e -> raise e) ivs
+let get = function Ok v -> v | Error e -> raise e
+
+(* Run [f] on shard [s]'s engine and wait for the result. Inline this
+   is a plain call. *)
+let run ?label t s f =
+  if inline t then begin
+    if t.stopped then raise Shut_down;
+    f t.engines.(s)
+  end
+  else begin
+    let wait = submit ?label t s f in
+    let t0 = Timer.now_ns () in
+    let r = wait () in
+    Metrics.Histogram.observe_ns t.reply_wait.(s) (Int64.sub (Timer.now_ns ()) t0);
+    get r
+  end
+
+(* Fan [f] out to every shard — with workers all tasks are submitted
+   before any reply is awaited, so independent shards genuinely
+   overlap. *)
+let run_all ?label t f =
+  if inline t then begin
+    if t.stopped then raise Shut_down;
+    Array.mapi f t.engines
+  end
+  else begin
+    let carrier = Optrace.current_carrier () in
+    Array.map
+      (fun wait -> get (wait ()))
+      (Array.mapi (fun s _ -> submit ?label ~carrier t s (f s)) t.engines)
+  end
 
 (* Run [f] once on every worker domain (not per shard — with fewer
    domains than shards a per-shard fan-out would visit a domain twice).
-   The span-collection path. *)
+   The span-collection path; nothing to visit inline. *)
 let on_domains t f =
   let ivs =
     Array.mapi
       (fun w _ ->
         let iv = Ivar.create () in
-        let env =
+        post t w
           {
             run = (fun () -> Ivar.fill iv (match f () with v -> Ok v | exception e -> Error e));
             enq_ns = Timer.now_ns ();
             carrier = None;
             label = "domain";
             shard = -1;
-          }
-        in
-        post t w env;
+          };
         iv)
       t.mailboxes
   in
-  Array.map (fun iv -> match Ivar.read iv with Ok v -> v | Error e -> raise e) ivs
+  Array.map (fun iv -> get (Ivar.read iv)) ivs
 
 (* ----- construction ----- *)
-
-let offsets_of_engines engines =
-  let offsets = Array.make (Array.length engines) 0 in
-  let acc = ref 0 in
-  Array.iteri
-    (fun i e ->
-      offsets.(i) <- !acc;
-      acc := !acc + Engine.m e)
-    engines;
-  (offsets, !acc)
 
 let resolve_domains ~shards = function
   | None -> shards
   | Some d ->
-    if d < 1 then invalid_arg "Cluster: need at least one domain";
+    if d < 0 then invalid_arg "Cluster: domain count must be non-negative";
     min d shards
 
-let assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory =
-  let offsets, m = offsets_of_engines engines in
+(* Build shard [i]'s engine under its owner's registry, so only that
+   worker domain ever mutates its metric handles (or anything a journal
+   factory binds, e.g. a resilient sink's drop counter). Inline, the
+   caller's registry is the owner's. *)
+let build_engines ~shards ~domains build =
+  let registries = Array.init domains (fun _ -> Metrics.Registry.create ()) in
+  let owner = Array.init shards (fun i -> if domains = 0 then 0 else i mod domains) in
+  let engines =
+    Array.init shards (fun i ->
+        if domains = 0 then build i
+        else Metrics.Registry.with_registry registries.(owner.(i)) (fun () -> build i))
+  in
+  (engines, registries, owner)
+
+let assemble ~engines ~registries ~owner ~mailbox_capacity ~directory =
+  let domains = Array.length registries in
+  let shards = Array.length engines in
+  let offsets = Array.make shards 0 in
+  for i = 1 to shards - 1 do
+    offsets.(i) <- offsets.(i - 1) + Engine.m engines.(i - 1)
+  done;
+  let m = offsets.(shards - 1) + Engine.m engines.(shards - 1) in
   let mailboxes = Array.init domains (fun _ -> Mailbox.create ~capacity:mailbox_capacity) in
   let workers =
     Array.mapi (fun w mb -> Domain.spawn (fun () -> worker_loop w registries.(w) mb)) mailboxes
@@ -267,7 +380,7 @@ let assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory =
           "rebal_mailbox_send_block_seconds")
   in
   let reply_wait =
-    Array.init (Array.length engines) (fun s ->
+    Array.init (if domains = 0 then 0 else shards) (fun s ->
         Metrics.histogram
           ~labels:[ ("shard", string_of_int s) ]
           ~help:"Seconds a caller parked on a reply cell waiting for the owner domain"
@@ -277,7 +390,8 @@ let assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory =
     engines;
     offsets;
     m;
-    ring = Shard.make_ring (Array.length engines);
+    ring = make_ring shards;
+    weights = Array.make shards 1.0;
     owner;
     mailboxes;
     workers;
@@ -287,6 +401,7 @@ let assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory =
     dir_mu = Mutex.create ();
     dir_settled = Condition.create ();
     directory;
+    resident = Array.init shards (fun s -> Resident s);
     inter_moves = 0;
     stopped = false;
   }
@@ -296,30 +411,20 @@ let create ?trigger ?clock ?journal_for ?(mailbox_capacity = 1024) ?domains ~m ~
   if m < shards then invalid_arg "Cluster.create: need at least one processor per shard";
   if mailbox_capacity < 1 then invalid_arg "Cluster.create: need a positive mailbox capacity";
   let domains = resolve_domains ~shards domains in
-  let registries = Array.init domains (fun _ -> Metrics.Registry.create ()) in
-  let owner = Array.init shards (fun i -> i mod domains) in
-  let engines =
-    Array.init shards (fun i ->
+  let engines, registries, owner =
+    build_engines ~shards ~domains (fun i ->
         let m_i = (m / shards) + if i < m mod shards then 1 else 0 in
-        (* Bind the engine's metric handles — and anything the journal
-           factory binds, e.g. a resilient sink's drop counter — in the
-           owner's registry, so only that worker domain mutates them. *)
-        Metrics.Registry.with_registry registries.(owner.(i)) (fun () ->
-            let journal = match journal_for with None -> None | Some f -> f i in
-            Engine.create ?trigger ?clock ?journal ~m:m_i ()))
+        let journal = match journal_for with None -> None | Some f -> f i in
+        Engine.create ?trigger ?clock ?journal ~m:m_i ())
   in
-  assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory:(Hashtbl.create 256)
+  assemble ~engines ~registries ~owner ~mailbox_capacity ~directory:(Hashtbl.create 256)
 
 let of_engines ?(mailbox_capacity = 1024) ?domains ~shards build =
   if shards < 1 then Error "Cluster.of_engines: need at least one engine"
   else if mailbox_capacity < 1 then Error "Cluster.of_engines: need a positive mailbox capacity"
   else begin
-    let domains = resolve_domains ~shards domains in
-    let registries = Array.init domains (fun _ -> Metrics.Registry.create ()) in
-    let owner = Array.init shards (fun i -> i mod domains) in
-    let engines =
-      Array.init shards (fun i ->
-          Metrics.Registry.with_registry registries.(owner.(i)) (fun () -> build i))
+    let engines, registries, owner =
+      build_engines ~shards ~domains:(resolve_domains ~shards domains) build
     in
     let directory = Hashtbl.create 256 in
     let exception Dup of string in
@@ -333,7 +438,7 @@ let of_engines ?(mailbox_capacity = 1024) ?domains ~shards build =
             ())
         engines
     with
-    | () -> Ok (assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory)
+    | () -> Ok (assemble ~engines ~registries ~owner ~mailbox_capacity ~directory)
     | exception Dup id -> Error (pf "Cluster.of_engines: job %s lives in two shards" id)
   end
 
@@ -350,7 +455,13 @@ let translate t i moves =
 
 let with_dir t f =
   Mutex.lock t.dir_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.dir_mu) f
+  match f () with
+  | v ->
+    Mutex.unlock t.dir_mu;
+    v
+  | exception e ->
+    Mutex.unlock t.dir_mu;
+    raise e
 
 (* Under [dir_mu]: wait until [id] is in no transient state; the shard
    it settled on, if any. *)
@@ -371,8 +482,15 @@ let mem t id =
 let shard_of t id =
   try with_dir t (fun () -> settled t id) with Shut_down -> None
 
-let route t id = Shard.ring_lookup t.ring (Shard.hash32 id)
-let home_shard t id = match shard_of t id with Some s -> s | None -> route t id
+let weight t i = with_dir t (fun () -> t.weights.(i))
+
+let set_weight t i w =
+  if not (Float.is_finite w) || w < 0.0 || w > 1.0 then
+    invalid_arg "Cluster.set_weight: weight must be in [0, 1]";
+  with_dir t (fun () -> t.weights.(i) <- w)
+
+(* Under [dir_mu]: where the ring places a new id. *)
+let route t id = ring_lookup t.ring t.weights (hash32 id)
 
 (* Commit a settled state for [id] and wake every waiter. *)
 let settle t id state =
@@ -394,82 +512,62 @@ let run_reserved ?label t ~id ~restore s f =
 
 (* ----- the operations ----- *)
 
-let add_job t ~id ~size =
+let op_id = Engine.op_id
+
+let op_label = function
+  | Engine.Add _ -> "add"
+  | Engine.Remove _ -> "remove"
+  | Engine.Resize _ -> "resize"
+
+(* Under [dir_mu], given the shard [op]'s id has settled on (if any):
+   refuse the op, or reserve the id — [Pending] on its routed shard
+   for an add, [Busy] on its shard otherwise — and name that shard. *)
+let reserve t op home =
+  let id = op_id op in
+  match (op, home) with
+  | Engine.Add _, Some _ -> Error (pf "job %s already present" id)
+  | Engine.Add _, None ->
+    let s = route t id in
+    Hashtbl.replace t.directory id (Pending s);
+    Ok s
+  | (Engine.Remove _ | Engine.Resize _), None -> Error (pf "job %s not found" id)
+  | (Engine.Remove _ | Engine.Resize _), Some s ->
+    Hashtbl.replace t.directory id (Busy s);
+    Ok s
+
+(* Where a reserved id settles once its engine half on shard [s] has
+   succeeded ([ok]) or failed. *)
+let settled_state t op s ~ok =
+  match (op, ok) with
+  | Engine.Add _, true | Engine.Remove _, false | Engine.Resize _, _ -> Some t.resident.(s)
+  | Engine.Add _, false | Engine.Remove _, true -> None
+
+let apply t op =
+  let id = op_id op in
   try
-    let reserved =
-      with_dir t (fun () ->
-          match settled t id with
-          | Some _ -> Error (pf "job %s already present" id)
-          | None ->
-            let s = route t id in
-            Hashtbl.replace t.directory id (Pending s);
-            Ok s)
-    in
-    match reserved with
+    match with_dir t (fun () -> reserve t op (settled t id)) with
     | Error _ as e -> e
     | Ok s -> (
-      let res = run_reserved ~label:"add" t ~id ~restore:None s (fun e -> Engine.add_job e ~id ~size) in
-      settle t id (match res with Ok _ -> Some (Resident s) | Error _ -> None);
+      let res =
+        run_reserved ~label:(op_label op) t ~id ~restore:(settled_state t op s ~ok:false) s
+          (fun e -> Engine.apply e op)
+      in
+      settle t id (settled_state t op s ~ok:(Result.is_ok res));
       match res with
       | Error _ as e -> e
       | Ok (p, moves) -> Ok (global t s p, translate t s moves))
   with Shut_down -> Error "cluster is shut down"
 
-let remove_job t ~id =
-  try
-    let reserved =
-      with_dir t (fun () ->
-          match settled t id with
-          | None -> Error (pf "job %s not found" id)
-          | Some s ->
-            Hashtbl.replace t.directory id (Busy s);
-            Ok s)
-    in
-    match reserved with
-    | Error _ as e -> e
-    | Ok s -> (
-      let res =
-        run_reserved ~label:"remove" t ~id ~restore:(Some (Resident s)) s (fun e ->
-            Engine.remove_job e ~id)
-      in
-      settle t id (match res with Ok _ -> None | Error _ -> Some (Resident s));
-      match res with
-      | Error _ as e -> e
-      | Ok (p, moves) -> Ok (global t s p, translate t s moves))
-  with Shut_down -> Error "cluster is shut down"
-
-let resize_job t ~id ~size =
-  try
-    let reserved =
-      with_dir t (fun () ->
-          match settled t id with
-          | None -> Error (pf "job %s not found" id)
-          | Some s ->
-            Hashtbl.replace t.directory id (Busy s);
-            Ok s)
-    in
-    match reserved with
-    | Error _ as e -> e
-    | Ok s -> (
-      let res =
-        run_reserved ~label:"resize" t ~id ~restore:(Some (Resident s)) s (fun e ->
-            Engine.resize_job e ~id ~size)
-      in
-      settle t id (Some (Resident s));
-      match res with
-      | Error _ as e -> e
-      | Ok (p, moves) -> Ok (global t s p, translate t s moves))
-  with Shut_down -> Error "cluster is shut down"
+let add_job t ~id ~size = apply t (Engine.Add { id; size })
+let remove_job t ~id = apply t (Engine.Remove { id })
+let resize_job t ~id ~size = apply t (Engine.Resize { id; size })
 
 (* ----- batched application ----- *)
 
-let op_id = function
-  | Engine.Add { id; _ } | Engine.Remove { id } | Engine.Resize { id; _ } -> id
-
 (* One batch of events, routed and dispatched as per-shard sub-batches:
-   each involved shard gets a single mailbox task that runs
-   [Engine.apply_bulk] over its share — one dispatch, one journal flush
-   per shard per chunk — while distinct shards execute in parallel.
+   each involved shard gets a single task that runs [Engine.apply_bulk]
+   over its share — one dispatch, one journal flush per shard per
+   chunk — while (with workers) distinct shards execute in parallel.
    Results are delivered to [on_result] in batch order.
 
    The batch is processed in chunks. A chunk ends where per-id ordering
@@ -509,26 +607,11 @@ let apply_bulk t ?on_result ops =
          let id = op_id ops.(i) in
          if Hashtbl.mem seen id then raise Exit;
          let reserve () =
-           match ops.(i) with
-           | Engine.Add _ -> begin
-             match settled t id with
-             | Some _ ->
-               record i (Error (pf "job %s already present" id));
-               Some (-1)
-             | None ->
-               let s = route t id in
-               Hashtbl.replace t.directory id (Pending s);
-               Some s
-           end
-           | Engine.Remove _ | Engine.Resize _ -> begin
-             match settled t id with
-             | None ->
-               record i (Error (pf "job %s not found" id));
-               Some (-1)
-             | Some s ->
-               Hashtbl.replace t.directory id (Busy s);
-               Some s
-           end
+           match reserve t ops.(i) (settled t id) with
+           | Ok s -> Some s
+           | Error _ as e ->
+             record i e;
+             Some (-1)
          in
          (* First op of the chunk: wait out any foreign reservation
             (we hold none of our own yet). Later ops: probe without
@@ -560,7 +643,7 @@ let apply_bulk t ?on_result ops =
        reserved or its validation failure is recorded before any Exit. *)
     let chunk_hi = max !hi (chunk_lo + 1) in
     (* Dispatch phase: one [Engine.apply_bulk] task per involved shard.
-       All tasks are enqueued before any reply is awaited, so distinct
+       All tasks are submitted before any reply is awaited, so distinct
        shards overlap. *)
     let module M = Map.Make (Int) in
     let by_shard = ref M.empty in
@@ -576,28 +659,15 @@ let apply_bulk t ?on_result ops =
           let idx = Array.of_list (List.rev rev_idx) in
           let sub = Array.map (fun i -> ops.(i)) idx in
           let sub_results = Array.make (Array.length sub) (Error "") in
-          let iv = Ivar.create () in
-          let env =
-            {
-              run =
-                (fun () ->
-                  Ivar.fill iv
-                    (match
-                       Engine.apply_bulk t.engines.(s)
-                         ~on_result:(fun j _ r -> sub_results.(j) <- r)
-                         sub
-                     with
-                    | () -> Ok ()
-                    | exception e -> Error e));
-              enq_ns = Timer.now_ns ();
-              carrier = Optrace.current_carrier ();
-              label = "apply_bulk";
-              shard = s;
-            }
+          let wait =
+            match
+              submit ~label:"apply_bulk" t s (fun e ->
+                  Engine.apply_bulk e ~on_result:(fun j _ r -> sub_results.(j) <- r) sub)
+            with
+            | wait -> wait
+            | exception Shut_down -> fun () -> Error Shut_down
           in
-          match post t t.owner.(s) env with
-          | () -> (s, idx, sub_results, Some iv) :: acc
-          | exception Shut_down -> (s, idx, sub_results, None) :: acc)
+          (s, idx, sub_results, wait) :: acc)
         !by_shard []
     in
     (* Collect, translate to global processor indices, and settle every
@@ -605,12 +675,8 @@ let apply_bulk t ?on_result ops =
        state. *)
     let failure = ref None in
     List.iter
-      (fun (s, idx, sub_results, iv) ->
-        let outcome =
-          match iv with
-          | None -> Error Shut_down
-          | Some iv -> ( match Ivar.read iv with Ok () -> Ok () | Error e -> Error e)
-        in
+      (fun (s, idx, sub_results, wait) ->
+        let outcome = wait () in
         Array.iteri
           (fun j i ->
             let rolled_back, res =
@@ -624,15 +690,7 @@ let apply_bulk t ?on_result ops =
                 if !failure = None then failure := Some e;
                 (true, shut_down)
             in
-            let state =
-              match (ops.(i), rolled_back) with
-              | Engine.Add _, false -> Some (Resident s)
-              | Engine.Add _, true -> None
-              | Engine.Remove _, false -> None
-              | Engine.Remove _, true -> Some (Resident s)
-              | Engine.Resize _, _ -> Some (Resident s)
-            in
-            settle t (op_id ops.(i)) state;
+            settle t (op_id ops.(i)) (settled_state t ops.(i) s ~ok:(not rolled_back));
             record i res)
           idx)
       tasks;
@@ -692,7 +750,7 @@ let move ?(on_removed = fun () -> ()) t ~id ~dst =
       | Ok (Some src) -> (
         (* Phase 1: size lookup + remove, atomically on src's owner. *)
         let lifted =
-          run_reserved ~label:"move.remove" t ~id ~restore:(Some (Resident src)) src (fun e ->
+          run_reserved ~label:"move.remove" t ~id ~restore:(Some t.resident.(src)) src (fun e ->
               match Engine.find e id with
               | None -> Error (pf "job %s missing from shard %d" id src)
               | Some (size, _) -> (
@@ -702,7 +760,7 @@ let move ?(on_removed = fun () -> ()) t ~id ~dst =
         in
         match lifted with
         | Error e ->
-          settle t id (Some (Resident src));
+          settle t id (Some t.resident.(src));
           Error e
         | Ok (size, psrc, auto_src) -> (
           (* Phase 2: land on dst. The hook fires at the crash point
@@ -719,7 +777,7 @@ let move ?(on_removed = fun () -> ()) t ~id ~dst =
           | Ok (pdst, auto_dst) ->
             Optrace.with_span "move.commit" (fun () ->
                 with_dir t (fun () ->
-                    Hashtbl.replace t.directory id (Resident dst);
+                    Hashtbl.replace t.directory id t.resident.(dst);
                     t.inter_moves <- t.inter_moves + 1;
                     Condition.broadcast t.dir_settled));
             Ok
@@ -733,7 +791,7 @@ let move ?(on_removed = fun () -> ()) t ~id ~dst =
                actually happened). *)
             match run ~label:"move.rollback" t src (fun e -> Engine.add_job e ~id ~size) with
             | Ok _ ->
-              settle t id (Some (Resident src));
+              settle t id (Some t.resident.(src));
               Error (pf "move of %s rolled back: %s" id err)
             | Error e2 ->
               settle t id None;
@@ -743,21 +801,35 @@ let move ?(on_removed = fun () -> ()) t ~id ~dst =
               raise e2)))
     with Shut_down -> Error "cluster is shut down"
 
-(* Same shape as [Shard.rebalance]: every shard's own bounded GREEDY
-   repair first — here genuinely in parallel, shards are independent —
-   then up to [k] cross-shard transfers, each picked from a fresh
-   synchronous probe of all shards (globally heaviest liftable job to
-   the shard holding the least-loaded processor, only when it lands
-   below the current peak) and executed as a two-phase [move]. On a
-   quiescent cluster the probe loop makes the same decisions, in the
-   same order, as the sequential router's [inter_pass]. A transfer
-   beaten by a concurrent client op (the job vanished or moved) is
-   skipped, not fatal; the next iteration re-probes. *)
+let routable t = with_dir t (fun () -> Array.map (fun w -> w > 0.0) t.weights)
+
+(* The first shard holding the least-loaded processor among [eligible]
+   ones, -1 if none; [loads.(i)] is shard i's minimum processor load. *)
+let least_loaded eligible loads =
+  let b = ref (-1) in
+  Array.iteri (fun i l -> if eligible i && (!b < 0 || l < loads.(!b)) then b := i) loads;
+  !b
+
+(* Every positive-weight shard's own bounded GREEDY repair first (with
+   workers genuinely in parallel — shards are independent), then up to
+   [k] cross-shard transfers. Each transfer is the paper's GREEDY step
+   lifted to the global state: probe every shard, take the largest job
+   off the globally most-loaded processor and hand it, as a two-phase
+   [move], to the least-loaded processor of another shard — but only
+   when it lands below the current peak. Per-shard repair cannot lower
+   a peak held by a shard whose every processor is hot; this pass can.
+   Zero-weight shards sit the pass out: a down shard neither receives
+   transfers (it stopped taking routes) nor gives any up ([evacuate]
+   is the sanctioned drain). A transfer beaten by a concurrent client
+   op (the job vanished or moved) is skipped, not fatal; the next
+   iteration re-probes. *)
 let rebalance t ~k =
   if k < 0 then invalid_arg "Cluster.rebalance: negative k";
   try
+    let routable = routable t in
     let internal =
-      run_all ~label:"rebalance" t (fun s e -> translate t s (Engine.rebalance e ~k))
+      run_all ~label:"rebalance" t (fun s e ->
+          if routable.(s) then translate t s (Engine.rebalance e ~k) else [])
       |> Array.to_list
       |> List.concat
     in
@@ -766,34 +838,103 @@ let rebalance t ~k =
        for _ = 1 to k do
          let probes =
            run_all ~label:"probe" t (fun _ e ->
-               (Engine.makespan e, Engine.peek_heaviest e, Engine.min_load e))
+               (Engine.makespan e, Engine.peek_heaviest e, snd (Engine.min_load e)))
          in
          let ms i = let m, _, _ = probes.(i) in m in
          let a = ref (-1) in
-         Array.iteri (fun i _ -> if !a < 0 || ms i > ms !a then a := i) probes;
+         Array.iteri (fun i _ -> if routable.(i) && (!a < 0 || ms i > ms !a) then a := i) probes;
          let a = !a in
-         let lmax = ms a in
-         if lmax = 0 then raise Exit;
+         if a < 0 || ms a = 0 then raise Exit;
          match (let _, h, _ = probes.(a) in h) with
          | None -> raise Exit
          | Some (id, size, _) ->
-           let b = ref (-1) and best = ref max_int in
-           Array.iteri
-             (fun i (_, _, (_, l)) ->
-               if i <> a && l < !best then begin
-                 b := i;
-                 best := l
-               end)
-             probes;
-           if !b < 0 then raise Exit;
-           if !best + size >= lmax then raise Exit;
-           (match move t ~id ~dst:!b with
+           let b =
+             least_loaded (fun i -> i <> a && routable.(i)) (Array.map (fun (_, _, l) -> l) probes)
+           in
+           if b < 0 then raise Exit;
+           let _, _, best = probes.(b) in
+           if best + size >= ms a then raise Exit;
+           (match move t ~id ~dst:b with
            | Ok mvs -> inter := List.rev_append mvs !inter
            | Error _ -> () (* lost to a concurrent op; re-probe *))
        done
      with Exit -> ());
     internal @ List.rev !inter
   with Shut_down -> []
+
+(* Failover: re-home up to [budget] jobs off a dead shard as two-phase
+   moves, so each half is an ordinary journaled event on its engine —
+   every surviving journal stays replayable and the directory stays
+   authoritative. Jobs leave largest-first (the jobs that hurt the
+   makespan most if stranded); each lands on the shard holding the
+   globally least-loaded processor among routable (positive-weight)
+   survivors, i.e. exactly where the batch GREEDY would put it. *)
+let evacuate t ~from ~budget =
+  if from < 0 || from >= shard_count t then Error "Cluster.evacuate: no such shard"
+  else if budget < 0 then Error "Cluster.evacuate: negative budget"
+  else
+    try
+      let jobs =
+        run ~label:"evacuate" t from (fun e ->
+            Engine.fold_jobs e (fun acc ~id ~size ~proc:_ -> (id, size) :: acc) [])
+        |> List.sort (fun (ida, sa) (idb, sb) ->
+               if sa <> sb then compare sb sa else compare ida idb)
+      in
+      let routable = routable t in
+      let survivor i = i <> from && routable.(i) in
+      if jobs <> [] && not (Array.exists Fun.id (Array.mapi (fun i _ -> survivor i) routable))
+      then Error "Cluster.evacuate: no routable surviving shard"
+      else begin
+        let moves = ref [] and moved = ref 0 in
+        (try
+           List.iter
+             (fun (id, _) ->
+               if !moved >= budget then raise Exit;
+               let loads = run_all ~label:"probe" t (fun _ e -> snd (Engine.min_load e)) in
+               match move t ~id ~dst:(least_loaded survivor loads) with
+               | Ok mvs ->
+                 incr moved;
+                 moves := List.rev_append mvs !moves
+               | Error _ -> () (* lost to a concurrent op *))
+             jobs
+         with Exit -> ());
+        Ok (List.rev !moves, List.length jobs - !moved)
+      end
+    with Shut_down -> Error "cluster is shut down"
+
+(* Re-admission: swap a fresh engine (restored from the shard's own
+   snapshot + journal tail) in behind the router. The swap is only
+   sound when the replacement agrees with the directory about exactly
+   which jobs shard [i] owns — after a full evacuation both sides are
+   empty, so a journal-restored engine (whose journal recorded the
+   evacuation removes) passes. *)
+let replace_engine t i eng =
+  if i < 0 || i >= shard_count t then Error "Cluster.replace_engine: no such shard"
+  else
+    try
+      let expected =
+        with_dir t (fun () ->
+            Hashtbl.fold
+              (fun id st acc -> match st with Resident s when s = i -> id :: acc | _ -> acc)
+              t.directory [])
+      in
+      let actual = Engine.fold_jobs eng (fun acc ~id ~size:_ ~proc:_ -> id :: acc) [] in
+      run ~label:"replace" t i (fun old ->
+          if Engine.m eng <> Engine.m old then
+            Error
+              (pf "Cluster.replace_engine: engine has %d processors, shard %d owns %d"
+                 (Engine.m eng) i (Engine.m old))
+          else if List.sort compare expected <> List.sort compare actual then
+            Error
+              (pf
+                 "Cluster.replace_engine: engine holds %d job(s) but the directory maps %d to \
+                  shard %d"
+                 (List.length actual) (List.length expected) i)
+          else begin
+            t.engines.(i) <- eng;
+            Ok ()
+          end)
+    with Shut_down -> Error "cluster is shut down"
 
 (* ----- inspection ----- *)
 
@@ -813,6 +954,7 @@ let stats t =
   let makespan = Array.fold_left (fun acc (s, _) -> max acc s.Engine.makespan) 0 agg in
   let max_job_size = Array.fold_left (fun acc (_, mx) -> max acc mx) 0 agg in
   let total_size = sum (fun s -> s.Engine.total_size) in
+  (* Same ratio as [Engine.imbalance], over the global state. *)
   let imbalance =
     if total_size = 0 then 1.0
     else begin
@@ -824,7 +966,7 @@ let stats t =
   in
   let jobs, inter_moves = with_dir t (fun () -> (Hashtbl.length t.directory, t.inter_moves)) in
   {
-    Shard.shards = shard_count t;
+    shards = shard_count t;
     jobs;
     procs = t.m;
     makespan;

@@ -781,6 +781,13 @@ let resize_job t ~id ~size =
     end
   end
 
+let apply t = function
+  | Add { id; size } -> add_job t ~id ~size
+  | Remove { id } -> remove_job t ~id
+  | Resize { id; size } -> resize_job t ~id ~size
+
+let op_id = function Add { id; _ } | Remove { id } | Resize { id; _ } -> id
+
 (* ----- batched application ----- *)
 
 let apply_op t op =

@@ -176,6 +176,12 @@ val resize_job : t -> id:string -> size:int -> (int * move list, string) result
     automatic-repair moves. [Error] if absent or the size is not
     positive. *)
 
+val apply : t -> op -> (int * move list, string) result
+(** One event through {!add_job}, {!remove_job} or {!resize_job}. *)
+
+val op_id : op -> string
+(** The job id an event names. *)
+
 val apply_bulk :
   t ->
   ?on_result:(int -> op -> (int * move list, string) result -> unit) ->

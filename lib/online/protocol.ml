@@ -28,16 +28,29 @@ type verdict =
 
 type target =
   | Single of Engine.t
-  | Cluster of Shard.t
+  | Cluster of Cluster.t
   | Supervised of Supervisor.t
   | Parallel of Cluster.t
 
-(* Read-only paths (stats, journals, snapshots, metrics) see a
-   supervised cluster as the underlying router; only mutations and the
-   health report go through the supervisor. *)
-let as_cluster = function
-  | Supervised sup -> Cluster (Supervisor.cluster sup)
-  | t -> t
+(* The two serving shapes every dispatch matches on: one engine, or a
+   router. A supervised target is its router for everything but HEALTH,
+   the health suffixes and the watchdog-wrapped mutations. *)
+type shape =
+  | One of Engine.t
+  | Router of Cluster.t
+
+let shape = function
+  | Single e -> One e
+  | Cluster c | Parallel c -> Router c
+  | Supervised sup -> Router (Supervisor.cluster sup)
+
+let supervisor = function Supervised sup -> Some sup | _ -> None
+let router t = match shape t with One _ -> None | Router c -> Some c
+
+let concurrent t =
+  match (supervisor t, router t) with
+  | None, Some c -> Cluster.domain_count c > 0
+  | _ -> false
 
 let pf = Printf.sprintf
 
@@ -109,39 +122,19 @@ let parse line =
 
 (* ----- dispatch over the two serving shapes ----- *)
 
-let makespan = function
-  | Single e -> Engine.makespan e
-  | Cluster s -> Shard.makespan s
-  | Supervised sup -> Shard.makespan (Supervisor.cluster sup)
-  | Parallel c -> Cluster.makespan c
+let makespan t =
+  match shape t with One e -> Engine.makespan e | Router c -> Cluster.makespan c
 
-let add_job t ~id ~size =
-  match t with
-  | Single e -> Engine.add_job e ~id ~size
-  | Cluster s -> Shard.add_job s ~id ~size
-  | Supervised sup -> Supervisor.add_job sup ~id ~size
-  | Parallel c -> Cluster.add_job c ~id ~size
-
-let remove_job t ~id =
-  match t with
-  | Single e -> Engine.remove_job e ~id
-  | Cluster s -> Shard.remove_job s ~id
-  | Supervised sup -> Supervisor.remove_job sup ~id
-  | Parallel c -> Cluster.remove_job c ~id
-
-let resize_job t ~id ~size =
-  match t with
-  | Single e -> Engine.resize_job e ~id ~size
-  | Cluster s -> Shard.resize_job s ~id ~size
-  | Supervised sup -> Supervisor.resize_job sup ~id ~size
-  | Parallel c -> Cluster.resize_job c ~id ~size
+(* A mutation; on a supervised target under its watchdog and
+   degraded-mode guards. *)
+let apply t op =
+  match (t, shape t) with
+  | Supervised sup, _ -> Supervisor.apply sup op
+  | _, One e -> Engine.apply e op
+  | _, Router c -> Cluster.apply c op
 
 let rebalance t ~k =
-  match t with
-  | Single e -> Engine.rebalance e ~k
-  | Cluster s -> Shard.rebalance s ~k
-  | Supervised sup -> Supervisor.rebalance sup ~k
-  | Parallel c -> Cluster.rebalance c ~k
+  match shape t with One e -> Engine.rebalance e ~k | Router c -> Cluster.rebalance c ~k
 
 let move_lines moves =
   List.map (fun mv -> pf "MOVE %s %d %d" mv.Engine.id mv.Engine.src mv.Engine.dst) moves
@@ -162,14 +155,16 @@ let help_lines =
     "OK   RESIZE <id> <size>   change a job's size";
     "OK   REBALANCE [<k>]      repair pass with move budget k (default: unbounded)";
     "OK   STATS                engine telemetry";
-    "OK   SHARDS               per-shard telemetry (sharded serve only)";
-    "OK   HEALTH               per-shard health and failover counters (supervised serve only)";
+    "OK   SHARDS               per-shard telemetry (serve --shards)";
+    "OK   HEALTH               per-shard health and failover counters (serve --supervise)";
     "OK   SNAPSHOT             write a state snapshot into the journal (compaction point)";
     "OK   METRICS              Prometheus text exposition, ends with '# EOF'";
     "OK   JOURNAL [<n>]        last n flight-recorder events (default 10), ends with '# EOF'";
     "OK   TRACES [<n>]         span trees of the last n slow ops (default 10), ends with '# EOF'";
+    "OK   ALERTS               alert rule states and transitions, ends with '# EOF'";
+    "OK   TSDB <series> [<w>]  windowed time-series points (default 60s), ends with '# EOF'";
     "OK   HELP                 this text";
-    "OK   QUIT                 end this session";
+    "OK   QUIT                 end this session (alias: EXIT)";
     "OK   SHUTDOWN             stop the daemon";
   ]
 
@@ -188,60 +183,61 @@ let cluster_stats_line st =
     "STATS shards=%d jobs=%d procs=%d makespan=%d total=%d imbalance=%.3f events=%d \
      adds=%d removes=%d resizes=%d rebalances=%d auto=%d auto_triggers=%d moved=%d \
      inter_moves=%d checks=%d failures=%d"
-    st.Shard.shards st.Shard.jobs st.Shard.procs st.Shard.makespan st.Shard.total_size
-    st.Shard.imbalance st.Shard.events st.Shard.adds st.Shard.removes st.Shard.resizes
-    st.Shard.rebalances st.Shard.auto_rebalances st.Shard.trigger_firings st.Shard.moved
-    st.Shard.inter_moves st.Shard.consistency_checks st.Shard.consistency_failures
+    st.Cluster.shards st.Cluster.jobs st.Cluster.procs st.Cluster.makespan
+    st.Cluster.total_size st.Cluster.imbalance st.Cluster.events st.Cluster.adds
+    st.Cluster.removes st.Cluster.resizes st.Cluster.rebalances st.Cluster.auto_rebalances
+    st.Cluster.trigger_firings st.Cluster.moved st.Cluster.inter_moves
+    st.Cluster.consistency_checks st.Cluster.consistency_failures
 
 (* The supervised STATS line is the cluster line with health fields
    appended — consumers matching on the existing prefix keep working. *)
-let stats_line = function
-  | Single e -> "STATS " ^ engine_stats_line (Engine.stats e)
-  | Cluster s -> cluster_stats_line (Shard.stats s)
-  | Parallel c -> cluster_stats_line (Cluster.stats c)
-  | Supervised sup ->
-    let h = Supervisor.stats sup in
-    cluster_stats_line (Shard.stats (Supervisor.cluster sup))
-    ^ pf
+let stats_line t =
+  match shape t with
+  | One e -> "STATS " ^ engine_stats_line (Engine.stats e)
+  | Router c -> (
+    cluster_stats_line (Cluster.stats c)
+    ^
+    match t with
+    | Supervised sup ->
+      let h = Supervisor.stats sup in
+      pf
         " healthy=%d suspect=%d down=%d recovering=%d evacuations=%d evacuated=%d \
          stranded=%d readmissions=%d probe_failures=%d watchdog_trips=%d rejections=%d"
         h.Supervisor.healthy h.Supervisor.suspect h.Supervisor.down h.Supervisor.recovering
         h.Supervisor.evacuations h.Supervisor.evacuated_jobs h.Supervisor.stranded_jobs
         h.Supervisor.readmissions h.Supervisor.probe_failures h.Supervisor.watchdog_trips
         h.Supervisor.degraded_rejections
+    | _ -> "")
 
 let shard_line ~offset i (st : Engine.stats) =
   pf "SHARD %d offset=%d procs=%d jobs=%d makespan=%d imbalance=%.3f" i offset
     st.Engine.procs st.Engine.jobs st.Engine.makespan st.Engine.imbalance
 
-let shards_lines = function
-  | Single _ -> [ "ERR not sharded (serve started without --shards)" ]
-  | Cluster s ->
-    Array.to_list
-      (Array.mapi (fun i st -> shard_line ~offset:(Shard.offset s i) i st) (Shard.shard_stats s))
-  | Parallel c ->
-    Array.to_list
-      (Array.mapi
-         (fun i st -> shard_line ~offset:(Cluster.offset c i) i st)
-         (Cluster.shard_stats c))
-  | Supervised sup ->
-    (* Same SHARD lines, with health and routing weight appended. *)
-    let s = Supervisor.cluster sup in
+(* A supervised target appends health and routing weight to each line. *)
+let shards_lines t =
+  match shape t with
+  | One _ -> [ "ERR not sharded (serve started without --shards)" ]
+  | Router c ->
     Array.to_list
       (Array.mapi
          (fun i st ->
-           shard_line ~offset:(Shard.offset s i) i st
-           ^ pf " health=%s weight=%.2f"
+           shard_line ~offset:(Cluster.offset c i) i st
+           ^
+           match t with
+           | Supervised sup ->
+             pf " health=%s weight=%.2f"
                (Supervisor.health_name (Supervisor.health sup i))
-               (Shard.weight s i))
-         (Shard.shard_stats s))
+               (Cluster.weight c i)
+           | _ -> "")
+         (Cluster.shard_stats c))
 
-let health_lines = function
-  | Single _ | Cluster _ | Parallel _ ->
-    [ "ERR not supervised (serve started without --supervise)" ]
-  | Supervised sup ->
+let health_lines t =
+  match supervisor t with
+  | None -> [ "ERR not supervised (serve started without --supervise)" ]
+  | Some sup ->
     let h = Supervisor.stats sup in
-    let s = Supervisor.cluster sup in
+    let c = Supervisor.cluster sup in
+    let shard_stats = Cluster.shard_stats c in
     pf
       "HEALTH shards=%d healthy=%d suspect=%d down=%d recovering=%d evacuations=%d \
        evacuated=%d stranded=%d readmissions=%d probe_failures=%d watchdog_trips=%d \
@@ -253,8 +249,8 @@ let health_lines = function
     :: List.init (Supervisor.shard_count sup) (fun i ->
            pf "HEALTH %d %s weight=%.2f jobs=%d" i
              (Supervisor.health_name (Supervisor.health sup i))
-             (Shard.weight s i)
-             (Engine.job_count (Shard.engine s i)))
+             (Cluster.weight c i)
+             shard_stats.(i).Engine.jobs)
 
 (* Engine counters live in the engine record, not the registry; METRICS
    exports them into the current registry right before rendering — the
@@ -288,7 +284,7 @@ let export_metrics e = export_engine_stats (Engine.stats e)
 
 let export_supervisor sup =
   let h = Supervisor.stats sup in
-  let s = Supervisor.cluster sup in
+  let c = Supervisor.cluster sup in
   (* One 0/1 gauge per (shard, state) pair plus the routing weight, so
      dashboards can plot a health timeline without value decoding. *)
   for i = 0 to Supervisor.shard_count sup - 1 do
@@ -305,7 +301,7 @@ let export_supervisor sup =
       (Metrics.gauge
          ~labels:[ ("shard", string_of_int i) ]
          ~help:"Routing weight (fraction of ring replicas active)" "rebal_shard_weight")
-      (Shard.weight s i)
+      (Cluster.weight c i)
   done;
   let count name help v = Metrics.Counter.set (Metrics.counter ~help name) v in
   count "rebal_evacuations_total" "Down transitions that ran an evacuation" h.Supervisor.evacuations;
@@ -322,35 +318,30 @@ let export_supervisor sup =
 
 (* One labeled series per shard plus cluster-level aggregates; a
    sum() over the shard label reproduces the additive aggregates. *)
-let export_sharded ~shard_stats ~(stats : Shard.stats) =
+let export_sharded c =
   Array.iteri
     (fun i st -> export_engine_stats ~labels:[ ("shard", string_of_int i) ] st)
-    shard_stats;
-  let st = stats in
+    (Cluster.shard_stats c);
+  let st = Cluster.stats c in
   let gauge name help v = Metrics.Gauge.set (Metrics.gauge ~help name) v in
-  gauge "rebal_cluster_shards" "Shards served" (float_of_int st.Shard.shards);
-  gauge "rebal_cluster_jobs" "Live jobs across all shards" (float_of_int st.Shard.jobs);
-  gauge "rebal_cluster_procs" "Processors across all shards" (float_of_int st.Shard.procs);
+  gauge "rebal_cluster_shards" "Shards served" (float_of_int st.Cluster.shards);
+  gauge "rebal_cluster_jobs" "Live jobs across all shards" (float_of_int st.Cluster.jobs);
+  gauge "rebal_cluster_procs" "Processors across all shards" (float_of_int st.Cluster.procs);
   gauge "rebal_cluster_makespan" "Global maximum processor load"
-    (float_of_int st.Shard.makespan);
+    (float_of_int st.Cluster.makespan);
   gauge "rebal_cluster_imbalance" "Global makespan over the global batch lower bound"
-    st.Shard.imbalance;
+    st.Cluster.imbalance;
   Metrics.Counter.set
     (Metrics.counter ~help:"Cross-shard job transfers performed by rebalancing"
        "rebal_cluster_inter_moves_total")
-    st.Shard.inter_moves
-
-let rec export_target = function
-  | Single e -> export_metrics e
-  | Supervised sup ->
-    export_target (as_cluster (Supervised sup));
-    export_supervisor sup
-  | Cluster s -> export_sharded ~shard_stats:(Shard.shard_stats s) ~stats:(Shard.stats s)
-  | Parallel c ->
-    export_sharded ~shard_stats:(Cluster.shard_stats c) ~stats:(Cluster.stats c);
-    Metrics.Gauge.set
-      (Metrics.gauge ~help:"Worker domains serving the shards" "rebal_cluster_domains")
+    st.Cluster.inter_moves;
+  if Cluster.domain_count c > 0 then
+    gauge "rebal_cluster_domains" "Worker domains serving the shards"
       (float_of_int (Cluster.domain_count c))
+
+let export_target t =
+  (match shape t with One e -> export_metrics e | Router c -> export_sharded c);
+  Option.iter export_supervisor (supervisor t)
 
 let render_registry reg =
   let text = Expo.prometheus reg in
@@ -359,8 +350,8 @@ let render_registry reg =
   lines @ [ "# EOF" ]
 
 let metrics_registry t =
-  match t with
-  | Parallel c ->
+  match shape t with
+  | Router c when Cluster.domain_count c > 0 ->
     (* The worker domains hold their own registries (handle mutation is
        confined to one domain); exposition builds a fresh registry each
        time — exported aggregates first, then every worker registry and
@@ -396,17 +387,13 @@ let sharded_journal_lines parts =
     @ [ "# EOF" ]
 
 let journal_lines t n =
-  match as_cluster t with
-  | Supervised _ -> assert false (* as_cluster never returns Supervised *)
-  | Single e -> begin
+  match shape t with
+  | One e -> begin
     match engine_journal_tail 0 e n with
     | Error _ -> [ "ERR no journal attached (start serve with --journal FILE)" ]
     | Ok lines -> lines @ [ "# EOF" ]
   end
-  | Cluster s ->
-    sharded_journal_lines
-      (List.init (Shard.shard_count s) (fun i -> engine_journal_tail i (Shard.engine s i) n))
-  | Parallel c ->
+  | Router c ->
     (* Tails are read on each shard's owner domain — a journal sink is
        single-writer state, so the query fabric is the safe path in. *)
     sharded_journal_lines
@@ -418,15 +405,13 @@ let sharded_snapshot_lines = function
   | Ok seqs -> List.map (fun (i, seq) -> pf "SNAPSHOTTED shard=%d seq=%d" i seq) seqs
 
 let snapshot_lines t =
-  match as_cluster t with
-  | Supervised _ -> assert false (* as_cluster never returns Supervised *)
-  | Single e -> begin
+  match shape t with
+  | One e -> begin
     match Engine.journal_snapshot e with
     | Error e -> [ "ERR " ^ e ^ " (start serve with --journal FILE)" ]
     | Ok seq -> [ pf "SNAPSHOTTED seq=%d" seq ]
   end
-  | Cluster s -> sharded_snapshot_lines (Shard.journal_snapshot s)
-  | Parallel c -> sharded_snapshot_lines (Cluster.journal_snapshot c)
+  | Router c -> sharded_snapshot_lines (Cluster.journal_snapshot c)
 
 (* TRACES: span trees for the last [n] slow ops, newest last. Spans
    come from the calling domain's ring plus (in parallel serve) every
@@ -444,9 +429,9 @@ let traces_lines t n =
   | [] -> [ "# no slow ops captured"; "# EOF" ]
   | slow ->
     let worker_spans =
-      match t with
-      | Parallel c -> ( try Cluster.recorded_spans c with Cluster.Shut_down -> [])
-      | _ -> []
+      match shape t with
+      | Router c -> ( try Cluster.recorded_spans c with Cluster.Shut_down -> [])
+      | One _ -> []
     in
     let trees = Optrace.assemble (Optrace.recorded () @ worker_spans) in
     List.concat_map
@@ -488,22 +473,26 @@ let tsdb_query_lines ~selector ~window_s =
     | Error e -> [ "ERR " ^ e ]
     | Ok lines -> lines @ [ "# EOF" ])
 
+(* The reply to one mutation: its acknowledgement, carrying the
+   makespan read right after it, then any auto-repair lines. *)
+let op_reply t op result =
+  match result with
+  | Error e -> [ "ERR " ^ e ]
+  | Ok (p, auto) ->
+    let verb =
+      match op with
+      | Engine.Add _ -> "PLACED"
+      | Engine.Remove _ -> "REMOVED"
+      | Engine.Resize _ -> "RESIZED"
+    in
+    pf "%s %s %d makespan=%d" verb (Engine.op_id op) p (makespan t) :: auto_lines t auto
+
+let mutation t op = op_reply t op (apply t op)
+
 let execute t = function
-  | Add { id; size } -> begin
-    match add_job t ~id ~size with
-    | Error e -> [ "ERR " ^ e ]
-    | Ok (p, auto) -> pf "PLACED %s %d makespan=%d" id p (makespan t) :: auto_lines t auto
-  end
-  | Remove id -> begin
-    match remove_job t ~id with
-    | Error e -> [ "ERR " ^ e ]
-    | Ok (p, auto) -> pf "REMOVED %s %d makespan=%d" id p (makespan t) :: auto_lines t auto
-  end
-  | Resize { id; size } -> begin
-    match resize_job t ~id ~size with
-    | Error e -> [ "ERR " ^ e ]
-    | Ok (p, auto) -> pf "RESIZED %s %d makespan=%d" id p (makespan t) :: auto_lines t auto
-  end
+  | Add { id; size } -> mutation t (Engine.Add { id; size })
+  | Remove id -> mutation t (Engine.Remove { id })
+  | Resize { id; size } -> mutation t (Engine.Resize { id; size })
   | Rebalance k ->
     let moves = rebalance t ~k in
     move_lines moves
@@ -583,27 +572,10 @@ let command_op = function
   | Resize { id; size } -> Some (Engine.Resize { id; size })
   | _ -> None
 
-(* The reply for one batched mutation. [makespan t] is read inside the
-   batch's [on_result] callback: on a [Single] engine that fires after
-   each op and before the next, so the value is exactly the
-   intermediate makespan the one-by-one path reports; on a [Parallel]
-   cluster results surface when the op's chunk completes, so the value
-   reflects the chunk — indistinguishable from the interleavings
-   concurrent sessions already produce. *)
-let bulk_reply t op result =
-  match result with
-  | Error e -> [ "ERR " ^ e ]
-  | Ok (p, auto) ->
-    let verb, id =
-      match op with
-      | Engine.Add { id; _ } -> ("PLACED", id)
-      | Engine.Remove { id } -> ("REMOVED", id)
-      | Engine.Resize { id; _ } -> ("RESIZED", id)
-    in
-    pf "%s %s %d makespan=%d" verb id p (makespan t) :: auto_lines t auto
 
 let handle_lines ?(start_line = 1) t lines =
-  let bulk_capable = match t with Single _ | Parallel _ -> true | _ -> false in
+  (* A supervised target keeps its per-op watchdog: it never batches. *)
+  let bulk_capable = supervisor t = None in
   let out = ref [] in
   let push ls = out := List.rev_append ls !out in
   let pending = ref [] in
@@ -620,14 +592,20 @@ let handle_lines ?(start_line = 1) t lines =
     | cmds ->
       pending := [];
       let ops = Array.of_list (List.filter_map command_op cmds) in
-      let on_result _ op r = push (bulk_reply t op r) in
+      (* [op_reply] reads the makespan inside the batch's [on_result]
+         callback: on a [Single] engine that fires after each op and
+         before the next, so the value is exactly the intermediate
+         makespan the one-by-one path reports; on a router results
+         surface when the op's chunk completes, so the value reflects
+         the chunk — indistinguishable from the interleavings
+         concurrent sessions already produce. *)
+      let on_result _ op r = push (op_reply t op r) in
       let hist = session_hist "batch" in
       let t0 = Timer.now_ns () in
       Optrace.with_op ~verb:"BATCH" (fun () ->
-          match t with
-          | Single e -> Engine.apply_bulk e ~on_result ops
-          | Parallel c -> Cluster.apply_bulk c ~on_result ops
-          | Cluster _ | Supervised _ -> assert false (* never queued *));
+          match shape t with
+          | One e -> Engine.apply_bulk e ~on_result ops
+          | Router c -> Cluster.apply_bulk c ~on_result ops);
       Metrics.Histogram.observe_ns hist (Int64.sub (Timer.now_ns ()) t0)
   in
   let verdict = ref Continue in
@@ -655,19 +633,17 @@ let handle_lines ?(start_line = 1) t lines =
   go start_line lines;
   (List.rev !out, !verdict)
 
-let greeting = function
-  | Single e ->
+let greeting t =
+  match shape t with
+  | One e ->
     pf "READY rebalance-serve procs=%d jobs=%d makespan=%d" (Engine.m e)
       (Engine.job_count e) (Engine.makespan e)
-  | Cluster s ->
-    pf "READY rebalance-serve shards=%d procs=%d jobs=%d makespan=%d" (Shard.shard_count s)
-      (Shard.m s) (Shard.job_count s) (Shard.makespan s)
-  | Supervised sup ->
-    let s = Supervisor.cluster sup in
-    pf "READY rebalance-serve shards=%d procs=%d jobs=%d makespan=%d serving=%d"
-      (Shard.shard_count s) (Shard.m s) (Shard.job_count s) (Shard.makespan s)
-      (Supervisor.serving_shards sup)
-  | Parallel c ->
-    pf "READY rebalance-serve shards=%d domains=%d procs=%d jobs=%d makespan=%d"
-      (Cluster.shard_count c) (Cluster.domain_count c) (Cluster.m c) (Cluster.job_count c)
-      (Cluster.makespan c)
+  | Router c ->
+    let domains = Cluster.domain_count c in
+    pf "READY rebalance-serve shards=%d%s procs=%d jobs=%d makespan=%d%s"
+      (Cluster.shard_count c)
+      (if domains > 0 then pf " domains=%d" domains else "")
+      (Cluster.m c) (Cluster.job_count c) (Cluster.makespan c)
+      (match t with
+      | Supervised sup -> pf " serving=%d" (Supervisor.serving_shards sup)
+      | _ -> "")

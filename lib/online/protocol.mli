@@ -7,8 +7,8 @@
     RESIZE <id> <size>   change a job's size
     REBALANCE <k>        run a bounded-move repair pass
     STATS                one-line engine telemetry
-    SHARDS               per-shard telemetry (sharded serve only)
-    HEALTH               per-shard health and failover counters (supervised serve only)
+    SHARDS               per-shard telemetry (serve --shards)
+    HEALTH               per-shard health and failover counters (serve --supervise)
     SNAPSHOT             write a state snapshot into the journal(s)
     METRICS              Prometheus text exposition of the metrics registry
     JOURNAL [<n>]        tail of the flight-recorder journal (default 10)
@@ -16,7 +16,7 @@
     ALERTS               alert rule states and transitions (telemetry serve only)
     TSDB <series> [<w>]  windowed time-series points (telemetry serve only)
     HELP                 list the commands
-    QUIT                 end this client session
+    QUIT                 end this client session (alias: EXIT)
     SHUTDOWN             end this client session and stop the daemon
     v}
 
@@ -78,18 +78,26 @@ type verdict =
   | Close  (** end this client session *)
   | Stop  (** end the session and shut the daemon down *)
 
-(** What the protocol operates: one engine, a shard router, a shard
-    router under health supervision, or the domain-parallel cluster.
-    A {!Parallel} target answers the same replies as {!Cluster} (the
-    [READY] banner gains [domains=<d>], [METRICS] gains
-    [rebal_cluster_domains] and the per-worker latency histograms) and
-    is safe to drive from many sessions concurrently — every command
-    is routed through the cluster's owner-domain mailboxes. *)
+(** What the protocol operates: one engine, a shard router, or a shard
+    router under health supervision. [Cluster] and [Parallel] are the
+    same target (both carry a router, whatever its executor); a router
+    with worker domains adds [domains=<d>] to the [READY] banner and
+    [rebal_cluster_domains] plus the per-worker histograms to
+    [METRICS], and is safe to drive from many sessions concurrently.
+    A router on the inline executor, and any [Supervised] target, must
+    be driven from one thread at a time. *)
 type target =
   | Single of Engine.t
-  | Cluster of Shard.t
+  | Cluster of Cluster.t
   | Supervised of Supervisor.t
   | Parallel of Cluster.t
+
+val router : target -> Cluster.t option
+(** The shard router behind a target ([None] for {!Single}). *)
+
+val concurrent : target -> bool
+(** Whether the target is safe to drive from several threads at once:
+    only a router with worker domains, and not under supervision. *)
 
 val parse : string -> (command option, string) result
 (** [Ok None] for blank/comment lines; [Error] explains a malformed
@@ -112,13 +120,14 @@ val handle_lines : ?start_line:int -> target -> string list -> string list * ver
 (** {!handle_line} over a pipeline of lines, coalescing runs of
     consecutive mutating commands (ADD / REMOVE / RESIZE) into one
     [Engine.apply_bulk] (a {!Single} target) or [Cluster.apply_bulk]
-    (a {!Parallel} target) call — one dispatch and one journal flush
-    per run instead of per line. Replies come back in line order and
-    are identical to the one-by-one path; a run of a single mutation
-    takes exactly the unbatched path (same per-verb latency series),
-    while a genuine pipeline runs under one [BATCH] span and one
-    [verb="batch"] latency observation. {!Cluster} and {!Supervised}
-    targets process every line individually. Processing stops at the
+    (a router) call — one dispatch and one journal flush per run
+    instead of per line. Replies come back in line order and match the
+    one-by-one path, except that a router's [makespan=] is read once
+    the op's chunk has completed; a run of a single mutation takes
+    exactly the unbatched path (same per-verb latency series), while a
+    genuine pipeline runs under one [BATCH] span and one
+    [verb="batch"] latency observation. A {!Supervised} target keeps
+    its per-op watchdog and processes every line individually. Processing stops at the
     first [QUIT]/[SHUTDOWN]; the returned verdict is that command's.
     [start_line] (default 1) numbers the first line for [ERR]
     prefixes. *)
@@ -137,8 +146,8 @@ val export_target : target -> unit
     this before rendering through [Rebal_obs.Expo]. *)
 
 val metrics_registry : target -> Rebal_obs.Metrics.Registry.t
-(** The registry a metrics reply renders: for {!Parallel} a fresh
-    registry holding the exported aggregates plus every worker
+(** The registry a metrics reply renders: for a router with worker
+    domains a fresh registry holding the exported aggregates plus every worker
     domain's and the default registry merged in (fresh each call —
     merging into a reused registry would double count); otherwise the
     current registry after {!export_target}. *)

@@ -1,12 +1,6 @@
-module Journal = Rebal_obs.Journal
+type t = Cluster.t
 
-type move = Engine.move = {
-  id : string;
-  src : int;
-  dst : int;
-}
-
-type stats = {
+type stats = Cluster.stats = {
   shards : int;
   jobs : int;
   procs : int;
@@ -26,464 +20,8 @@ type stats = {
   consistency_failures : int;
 }
 
-type t = {
-  shards : Engine.t array;
-  offsets : int array;  (* shard i owns global procs [offsets.(i), offsets.(i) + m_i) *)
-  m : int;
-  (* Consistent-hash ring: sorted (point, shard, replica) triples; a
-     job id hashes to the first point at or after its hash (wrapping).
-     Virtual nodes smooth the split so no shard owns a
-     disproportionate arc; the replica index is kept so per-shard
-     weights can activate a prefix of a shard's virtual nodes. *)
-  ring : (int * int * int) array;
-  (* Routing weight per shard in [0, 1]: the fraction of its virtual
-     nodes that accept new placements. 0 takes a shard out of the ring
-     (a Down shard stops receiving routes); a Recovering shard ramps
-     back gradually. Residency and lookups of existing jobs are never
-     affected — only where a *new* id lands. *)
-  weights : float array;
-  (* id -> shard. Placement starts as pure hashing, but inter-shard
-     moves break hash residency, so membership is authoritative here;
-     the ring only decides where a *new* id lands. *)
-  directory : (string, int) Hashtbl.t;
-  mutable inter_moves : int;
-}
-
-(* FNV-1a, 32-bit, finished with murmur3's fmix32 avalanche: stable
-   across runs and OCaml versions, unlike [Hashtbl.hash] which is
-   documented to vary. Raw FNV-1a clusters badly on short sequential
-   ids ("j0".."j9999" share their high bits), which skews both the
-   vnode arcs and the job placement; the finalizer disperses them. *)
-let hash32 s =
-  let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
-  let h = ref (!h lxor (!h lsr 16)) in
-  h := !h * 0x85ebca6b land 0xFFFFFFFF;
-  h := !h lxor (!h lsr 13);
-  h := !h * 0xc2b2ae35 land 0xFFFFFFFF;
-  !h lxor (!h lsr 16)
-
-let ring_points_per_shard = 64
-
-type ring = (int * int * int) array
-
-let make_ring shards =
-  let points = Array.init (shards * ring_points_per_shard) (fun i ->
-      let shard = i / ring_points_per_shard and replica = i mod ring_points_per_shard in
-      (hash32 (Printf.sprintf "shard:%d:%d" shard replica), shard, replica))
-  in
-  Array.sort compare points;
-  points
-
-(* A shard with weight [w] keeps its first [ceil (w * 64)] replicas
-   active: weight 1 is the full ring (bit-identical routing to the
-   unweighted router), weight 0 is none. Activating a prefix rather
-   than rescaling hashes means ramping a weight up or down only flips
-   that shard's own arcs — other shards' points never move. *)
-let active_replicas w =
-  if w <= 0.0 then 0
-  else min ring_points_per_shard (int_of_float (ceil (w *. float_of_int ring_points_per_shard)))
-
-let ring_lookup ?weights ring h =
-  (* Binary search for the first point with hash >= h, wrapping to the
-     first point past the top of the ring; with weights, walk forward
-     (wrapping) past points whose shard has deactivated that replica. *)
-  let n = Array.length ring in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let p, _, _ = ring.(mid) in
-    if p < h then lo := mid + 1 else hi := mid
-  done;
-  let start = if !lo = n then 0 else !lo in
-  match weights with
-  | None ->
-    let _, s, _ = ring.(start) in
-    s
-  | Some w ->
-    let rec walk i remaining =
-      if remaining = 0 then begin
-        (* Every shard weighted to zero: fall back to the unweighted
-           ring so routing still answers (the supervisor layer is the
-           one that refuses service on an all-down cluster). *)
-        let _, s, _ = ring.(start) in
-        s
-      end
-      else begin
-        let _, s, replica = ring.(i) in
-        if replica < active_replicas w.(s) then s
-        else walk (if i + 1 = n then 0 else i + 1) (remaining - 1)
-      end
-    in
-    walk start n
-
-let offsets_of_engines engines =
-  let offsets = Array.make (Array.length engines) 0 in
-  let acc = ref 0 in
-  Array.iteri
-    (fun i e ->
-      offsets.(i) <- !acc;
-      acc := !acc + Engine.m e)
-    engines;
-  (offsets, !acc)
-
-let create ?trigger ?clock ?journal_for ~m ~shards () =
-  if shards < 1 then invalid_arg "Shard.create: need at least one shard";
-  if m < shards then invalid_arg "Shard.create: need at least one processor per shard";
-  let engines =
-    Array.init shards (fun i ->
-        let m_i = (m / shards) + if i < m mod shards then 1 else 0 in
-        let journal = match journal_for with None -> None | Some f -> f i in
-        Engine.create ?trigger ?clock ?journal ~m:m_i ())
-  in
-  let offsets, total = offsets_of_engines engines in
-  assert (total = m);
-  {
-    shards = engines;
-    offsets;
-    m;
-    ring = make_ring shards;
-    weights = Array.make shards 1.0;
-    directory = Hashtbl.create 256;
-    inter_moves = 0;
-  }
-
 let of_engines engines =
-  let ( let* ) = Result.bind in
-  let* () =
-    if Array.length engines >= 1 then Ok () else Error "Shard.of_engines: need at least one engine"
-  in
-  let offsets, m = offsets_of_engines engines in
-  let directory = Hashtbl.create 256 in
-  let* () =
-    let exception Dup of string in
-    try
-      Array.iteri
-        (fun i e ->
-          Engine.fold_jobs e
-            (fun () ~id ~size:_ ~proc:_ ->
-              if Hashtbl.mem directory id then raise (Dup id);
-              Hashtbl.replace directory id i)
-            ())
-        engines;
-      Ok ()
-    with Dup id -> Error (Printf.sprintf "Shard.of_engines: job %s lives in two shards" id)
-  in
-  Ok
-    {
-      shards = engines;
-      offsets;
-      m;
-      ring = make_ring (Array.length engines);
-      weights = Array.make (Array.length engines) 1.0;
-      directory;
-      inter_moves = 0;
-    }
+  Cluster.of_engines ~domains:0 ~shards:(Array.length engines) (fun i -> engines.(i))
 
-let shard_count t = Array.length t.shards
-let m t = t.m
-let engine t i = t.shards.(i)
-let offset t i = t.offsets.(i)
-let job_count t = Hashtbl.length t.directory
-let shard_of t id = Hashtbl.find_opt t.directory id
-
-let weight t i = t.weights.(i)
-
-let set_weight t i w =
-  if not (Float.is_finite w) || w < 0.0 || w > 1.0 then
-    invalid_arg "Shard.set_weight: weight must be in [0, 1]";
-  t.weights.(i) <- w
-
-let home_shard t id =
-  match Hashtbl.find_opt t.directory id with
-  | Some s -> s
-  | None -> ring_lookup ~weights:t.weights t.ring (hash32 id)
-
-let global t i p = t.offsets.(i) + p
-let translate t i moves = List.map (fun mv -> { mv with src = global t i mv.src; dst = global t i mv.dst }) moves
-
-let makespan t = Array.fold_left (fun acc e -> max acc (Engine.makespan e)) 0 t.shards
-
-let loads t =
-  let out = Array.make t.m 0 in
-  Array.iteri
-    (fun i e -> Array.blit (Engine.loads e) 0 out t.offsets.(i) (Engine.m e))
-    t.shards;
-  out
-
-let total_size t = Array.fold_left (fun acc e -> acc + (Engine.stats e).Engine.total_size) 0 t.shards
-let max_job_size t = Array.fold_left (fun acc e -> max acc (Engine.max_job_size e)) 0 t.shards
-
-(* Same ratio as [Engine.imbalance], over the global state: makespan /
-   max (average load across all m processors, largest live job). *)
-let imbalance t =
-  let total = total_size t in
-  if total = 0 then 1.0
-  else begin
-    let bound =
-      Float.max (float_of_int total /. float_of_int t.m) (float_of_int (max_job_size t))
-    in
-    float_of_int (makespan t) /. bound
-  end
-
-let mem t id = Hashtbl.mem t.directory id
-
-let find t id =
-  match Hashtbl.find_opt t.directory id with
-  | None -> None
-  | Some s ->
-    (match Engine.find t.shards.(s) id with
-    | None -> None
-    | Some (size, p) -> Some (size, global t s p))
-
-let add_job t ~id ~size =
-  if Hashtbl.mem t.directory id then Error (Printf.sprintf "job %s already present" id)
-  else begin
-    let s = home_shard t id in
-    match Engine.add_job t.shards.(s) ~id ~size with
-    | Error _ as e -> e
-    | Ok (p, moves) ->
-      Hashtbl.replace t.directory id s;
-      Ok (global t s p, translate t s moves)
-  end
-
-let remove_job t ~id =
-  match Hashtbl.find_opt t.directory id with
-  | None -> Error (Printf.sprintf "job %s not found" id)
-  | Some s ->
-    (match Engine.remove_job t.shards.(s) ~id with
-    | Error _ as e -> e
-    | Ok (p, moves) ->
-      Hashtbl.remove t.directory id;
-      Ok (global t s p, translate t s moves))
-
-let resize_job t ~id ~size =
-  match Hashtbl.find_opt t.directory id with
-  | None -> Error (Printf.sprintf "job %s not found" id)
-  | Some s ->
-    (match Engine.resize_job t.shards.(s) ~id ~size with
-    | Error _ as e -> e
-    | Ok (p, moves) -> Ok (global t s p, translate t s moves))
-
-(* The bounded cross-shard pass. Per-shard GREEDY repair cannot lower a
-   peak held by a shard whose every processor is hot, so up to [k]
-   times: lift the job a repair pass would lift first (largest job on
-   the globally most-loaded processor) and hand it to the least-loaded
-   processor of any *other* shard, but only when that actually lands
-   below the current peak. Transfers go through the ordinary
-   remove/add path, so per-shard journals stay replayable and the
-   directory is the single source of residency truth. Zero-weight
-   shards sit the pass out entirely — a Down shard neither receives
-   transfers (it stopped taking routes) nor gives any up (its engine
-   is presumed unreachable; {!evacuate} is the sanctioned drain). *)
-let inter_pass t ~k =
-  let moves = ref [] in
-  (try
-     for _ = 1 to k do
-       let a = ref (-1) in
-       Array.iteri
-         (fun i e ->
-           if
-             t.weights.(i) > 0.0
-             && (!a < 0 || Engine.makespan e > Engine.makespan t.shards.(!a))
-           then a := i)
-         t.shards;
-       if !a < 0 then raise Exit;
-       let a = !a in
-       let lmax = Engine.makespan t.shards.(a) in
-       if lmax = 0 then raise Exit;
-       match Engine.peek_heaviest t.shards.(a) with
-       | None -> raise Exit
-       | Some (id, size, psrc) ->
-         let b = ref (-1) and best = ref max_int in
-         Array.iteri
-           (fun i e ->
-             if i <> a && t.weights.(i) > 0.0 then begin
-               let _, l = Engine.min_load e in
-               if l < !best then begin
-                 b := i;
-                 best := l
-               end
-             end)
-           t.shards;
-         if !b < 0 then raise Exit;
-         if !best + size >= lmax then raise Exit;
-         let auto_a =
-           match Engine.remove_job t.shards.(a) ~id with
-           | Ok (_, auto) -> auto
-           | Error e -> failwith ("Shard.rebalance: transfer remove: " ^ e)
-         in
-         let pdst, auto_b =
-           match Engine.add_job t.shards.(!b) ~id ~size with
-           | Ok (p, auto) -> (p, auto)
-           | Error e -> failwith ("Shard.rebalance: transfer add: " ^ e)
-         in
-         Hashtbl.replace t.directory id !b;
-         t.inter_moves <- t.inter_moves + 1;
-         moves :=
-           List.rev_append
-             (translate t !b auto_b)
-             ({ id; src = global t a psrc; dst = global t !b pdst }
-             :: List.rev_append (translate t a auto_a) !moves)
-     done
-   with Exit -> ());
-  List.rev !moves
-
-let rebalance t ~k =
-  if k < 0 then invalid_arg "Shard.rebalance: negative k";
-  let internal = ref [] in
-  Array.iteri
-    (fun i e ->
-      if t.weights.(i) > 0.0 then
-        internal := List.rev_append (translate t i (Engine.rebalance e ~k)) !internal)
-    t.shards;
-  List.rev !internal @ inter_pass t ~k
-
-(* Failover: re-home up to [budget] jobs off a dead shard. Transfers
-   take the same remove/add path as [inter_pass] — each half is an
-   ordinary journaled event on its engine, so every surviving journal
-   stays replayable and the directory stays authoritative. Jobs leave
-   largest-first (the jobs that hurt the makespan most if stranded);
-   each lands on the shard holding the globally least-loaded processor
-   among routable (positive-weight) survivors, i.e. exactly where the
-   batch GREEDY would put it. *)
-let evacuate t ~from ~budget =
-  if from < 0 || from >= Array.length t.shards then Error "Shard.evacuate: no such shard"
-  else if budget < 0 then Error "Shard.evacuate: negative budget"
-  else begin
-    let jobs =
-      Engine.fold_jobs t.shards.(from)
-        (fun acc ~id ~size ~proc:_ -> (id, size) :: acc)
-        []
-    in
-    let jobs =
-      List.sort (fun (ida, sa) (idb, sb) -> if sa <> sb then compare sb sa else compare ida idb) jobs
-    in
-    let survivors =
-      Array.exists (fun i -> i) (Array.mapi (fun i _ -> i <> from && t.weights.(i) > 0.0) t.shards)
-    in
-    if jobs <> [] && not survivors then Error "Shard.evacuate: no routable surviving shard"
-    else begin
-      let moves = ref [] and moved = ref 0 in
-      (try
-         List.iter
-           (fun (id, size) ->
-             if !moved >= budget then raise Exit;
-             let b = ref (-1) and best = ref max_int in
-             Array.iteri
-               (fun i e ->
-                 if i <> from && t.weights.(i) > 0.0 then begin
-                   let _, l = Engine.min_load e in
-                   if l < !best then begin
-                     b := i;
-                     best := l
-                   end
-                 end)
-               t.shards;
-             let psrc =
-               match Engine.remove_job t.shards.(from) ~id with
-               | Ok (p, _) -> p
-               | Error e -> failwith ("Shard.evacuate: remove: " ^ e)
-             in
-             let pdst, auto =
-               match Engine.add_job t.shards.(!b) ~id ~size with
-               | Ok (p, auto) -> (p, auto)
-               | Error e -> failwith ("Shard.evacuate: add: " ^ e)
-             in
-             Hashtbl.replace t.directory id !b;
-             t.inter_moves <- t.inter_moves + 1;
-             incr moved;
-             moves :=
-               List.rev_append
-                 (translate t !b auto)
-                 ({ id; src = global t from psrc; dst = global t !b pdst } :: !moves))
-           jobs
-       with Exit -> ());
-      Ok (List.rev !moves, List.length jobs - !moved)
-    end
-  end
-
-(* Re-admission: swap a fresh engine (restored from the shard's own
-   snapshot + journal tail) in behind the router. The swap is only
-   sound when the replacement agrees with the directory about exactly
-   which jobs shard [i] owns — after a full evacuation both sides are
-   empty, so a journal-restored engine (whose journal recorded the
-   evacuation removes) passes. *)
-let replace_engine t i eng =
-  if i < 0 || i >= Array.length t.shards then Error "Shard.replace_engine: no such shard"
-  else if Engine.m eng <> Engine.m t.shards.(i) then
-    Error
-      (Printf.sprintf "Shard.replace_engine: engine has %d processors, shard %d owns %d"
-         (Engine.m eng) i (Engine.m t.shards.(i)))
-  else begin
-    let expected =
-      Hashtbl.fold (fun id s acc -> if s = i then id :: acc else acc) t.directory []
-    in
-    let actual = Engine.fold_jobs eng (fun acc ~id ~size:_ ~proc:_ -> id :: acc) [] in
-    let sorted = List.sort compare in
-    if sorted expected <> sorted actual then
-      Error
-        (Printf.sprintf
-           "Shard.replace_engine: engine holds %d job(s) but the directory maps %d to shard %d"
-           (List.length actual) (List.length expected) i)
-    else begin
-      t.shards.(i) <- eng;
-      Ok ()
-    end
-  end
-
-let stats t =
-  let agg = Array.map Engine.stats t.shards in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 agg in
-  {
-    shards = Array.length t.shards;
-    jobs = job_count t;
-    procs = t.m;
-    makespan = makespan t;
-    total_size = sum (fun s -> s.Engine.total_size);
-    imbalance = imbalance t;
-    events = sum (fun s -> s.Engine.events);
-    adds = sum (fun s -> s.Engine.adds);
-    removes = sum (fun s -> s.Engine.removes);
-    resizes = sum (fun s -> s.Engine.resizes);
-    rebalances = sum (fun s -> s.Engine.rebalances);
-    auto_rebalances = sum (fun s -> s.Engine.auto_rebalances);
-    trigger_firings = sum (fun s -> s.Engine.trigger_firings);
-    moved = sum (fun s -> s.Engine.moved);
-    inter_moves = t.inter_moves;
-    consistency_checks = sum (fun s -> s.Engine.consistency_checks);
-    consistency_failures = sum (fun s -> s.Engine.consistency_failures);
-  }
-
-let shard_stats t = Array.map Engine.stats t.shards
-
-let check_consistency t ~k =
-  (* Directory integrity first: every directory entry must live in the
-     shard it names, and no shard may hold a job the directory missed. *)
-  let directory_ok =
-    Hashtbl.fold (fun id s acc -> acc && Engine.mem t.shards.(s) id) t.directory true
-    && Hashtbl.length t.directory
-       = Array.fold_left (fun acc e -> acc + Engine.job_count e) 0 t.shards
-  in
-  directory_ok
-  && Array.for_all (fun e -> Engine.check_consistency e ~k) t.shards
-
-let journal_snapshot t =
-  let missing = ref [] in
-  Array.iteri
-    (fun i e -> if Engine.journal e = None then missing := i :: !missing)
-    t.shards;
-  match !missing with
-  | _ :: _ ->
-    Error
-      (Printf.sprintf "no journal attached to shard %s"
-         (String.concat ", " (List.rev_map string_of_int !missing)))
-  | [] ->
-    Ok
-      (Array.to_list
-         (Array.mapi
-            (fun i e ->
-              match Engine.journal_snapshot e with
-              | Ok seq -> (i, seq)
-              | Error e -> failwith ("Shard.journal_snapshot: " ^ e))
-            t.shards))
+let makespan = Cluster.makespan
+let stats = Cluster.stats

@@ -1,184 +1,31 @@
-(** A shard router: the online engine scaled out. Processors are
-    partitioned into [S] shards, each backed by its own {!Engine} (with
-    its own trigger and, optionally, its own flight-recorder journal);
-    jobs are placed by consistent hashing over their ids, so the
-    id-to-shard map survives restarts without coordination and adding a
-    shard only remaps an arc of the ring.
+(** The former name of the sequential shard router, kept as an alias:
+    a {!Cluster} with the inline executor ([~domains:0]). New code
+    should use {!Cluster} directly. *)
 
-    Processor numbering is global: shard [i] owns the contiguous range
-    [[offset t i, offset t i + Engine.m (engine t i))], and every move
-    list or processor this module returns uses global indices.
+type t = Cluster.t
 
-    Residency: hashing decides where a {e new} id lands, but
-    {!rebalance}'s cross-shard pass may migrate jobs off their home
-    shard, so an id-to-shard directory is authoritative for lookups —
-    consistent hashing is a placement heuristic here, not an invariant.
-
-    [rebalance ~k] composes the per-shard guarantee of the paper with a
-    cross-shard repair: first every shard runs its own bounded GREEDY
-    repair (each shard's makespan then bit-matches the batch GREEDY on
-    its sub-instance — the composition view of per-machine bounds), then
-    a bounded top-k pass migrates the globally heaviest liftable job to
-    the least-loaded processor of another shard whenever that lands
-    below the current global peak. *)
-
-type move = Engine.move = {
-  id : string;
-  src : int;
-  dst : int;
-}
-
-type stats = {
+type stats = Cluster.stats = {
   shards : int;
   jobs : int;
   procs : int;
-  makespan : int;  (** max over all shards *)
+  makespan : int;
   total_size : int;
   imbalance : float;
-      (** global makespan / max (global average load, largest live job) *)
   events : int;
-  adds : int;  (** includes the add half of cross-shard transfers *)
-  removes : int;  (** includes the remove half of cross-shard transfers *)
+  adds : int;
+  removes : int;
   resizes : int;
   rebalances : int;
   auto_rebalances : int;
   trigger_firings : int;
-  moved : int;  (** intra-shard repair relocations, summed *)
-  inter_moves : int;  (** cross-shard transfers performed by this router *)
+  moved : int;
+  inter_moves : int;
   consistency_checks : int;
   consistency_failures : int;
 }
 
-type t
-
-val create :
-  ?trigger:Engine.trigger ->
-  ?clock:(unit -> float) ->
-  ?journal_for:(int -> Rebal_obs.Journal.sink option) ->
-  m:int ->
-  shards:int ->
-  unit ->
-  t
-(** [m] processors split as evenly as possible over [shards] engines
-    (the first [m mod shards] shards get one extra). [trigger] and
-    [clock] are handed to every engine; [journal_for i] supplies shard
-    [i]'s flight-recorder sink.
-    @raise Invalid_argument if [shards < 1] or [m < shards]. *)
-
 val of_engines : Engine.t array -> (t, string) result
-(** Assemble a router around existing engines — the restart path: each
-    shard's engine is resumed from its own journal, then the router is
-    rebuilt on top. The residency directory is reconstructed from the
-    engines' live jobs; [Error] if an id appears in two engines. The
-    [inter_moves] counter starts at zero (it belongs to the router, not
-    the persisted engine state). *)
+(** [Cluster.of_engines ~domains:0] over the given engines. *)
 
-val shard_count : t -> int
-val m : t -> int
-(** Total processors across all shards. *)
-
-val engine : t -> int -> Engine.t
-(** Shard [i]'s backing engine (e.g. for journal access). Mutating it
-    directly bypasses the residency directory — use the router's
-    operations for anything that adds or removes jobs. *)
-
-val offset : t -> int -> int
-(** First global processor index owned by shard [i]. *)
-
-val job_count : t -> int
 val makespan : t -> int
-val loads : t -> int array
-(** Global load vector (length [m]), shard ranges concatenated. *)
-
-val max_job_size : t -> int
-val imbalance : t -> float
-val mem : t -> string -> bool
-
-val shard_of : t -> string -> int option
-(** The shard a live job currently resides in. *)
-
-val weight : t -> int -> float
-(** Shard [i]'s routing weight (1.0 unless changed). *)
-
-val set_weight : t -> int -> float -> unit
-(** Set shard [i]'s routing weight in [[0, 1]]: the fraction of its
-    virtual nodes accepting {e new} placements (weight [w] keeps
-    [ceil (w * 64)] of its 64 replicas active, so weight 1 routes
-    bit-identically to the unweighted ring). Weight 0 takes the shard
-    out of the ring — a Down shard stops receiving routes; a
-    Recovering shard ramps back gradually. Residency and lookups of
-    jobs already placed are never affected. When {e every} shard is
-    weighted to 0, routing falls back to the unweighted ring (refusing
-    service on an all-down cluster is the supervisor's job, not the
-    router's).
-    @raise Invalid_argument if [w] is outside [[0, 1]] or not finite. *)
-
-val evacuate : t -> from:int -> budget:int -> (move list * int, string) result
-(** Re-home up to [budget] jobs off shard [from] onto the other
-    positive-weight shards, largest job first, each landing on the
-    shard holding the globally least-loaded processor. Transfers use
-    the ordinary remove/add path — both halves are journaled on their
-    engines and the directory is updated — and count as [inter_moves].
-    Returns the moves (global indices) and how many jobs were {e left}
-    on [from] because the budget ran out. Typically called with weight
-    0 already set on [from] (the supervisor's Down transition), but
-    this function does not require or change weights. [Error] if
-    [from] is out of range, [budget] is negative, or jobs remain and
-    no other shard has positive weight. *)
-
-val replace_engine : t -> int -> Engine.t -> (unit, string) result
-(** Swap shard [i]'s backing engine for [eng] — the re-admission path:
-    a Recovering shard restores an engine from its latest snapshot plus
-    journal tail and hands it back to the router. Refuses (leaving the
-    router untouched) unless [eng] has the same processor count and
-    holds exactly the jobs the directory maps to shard [i] (after a
-    full evacuation, both are empty). *)
-
-val find : t -> string -> (int * int) option
-(** [(size, global processor)] of a job, if present. *)
-
-val add_job : t -> id:string -> size:int -> (int * move list, string) result
-(** Route by consistent hash, place greedily inside the chosen shard.
-    Returns the global processor and any automatic-repair moves. *)
-
-val remove_job : t -> id:string -> (int * move list, string) result
-val resize_job : t -> id:string -> size:int -> (int * move list, string) result
-
-val rebalance : t -> k:int -> move list
-(** Per-shard bounded GREEDY repair (budget [k] each), then the bounded
-    cross-shard pass (up to [k] transfers). Returns all moves in global
-    indices, intra-shard repairs first. Zero-weight shards are skipped
-    entirely — their engines are presumed unreachable, and transfers
-    never target them.
-    @raise Invalid_argument if [k < 0]. *)
-
 val stats : t -> stats
-val shard_stats : t -> Engine.stats array
-
-val check_consistency : t -> k:int -> bool
-(** Residency-directory integrity (every entry resolves, no stray jobs)
-    plus [Engine.check_consistency ~k] on every shard. *)
-
-val journal_snapshot : t -> ((int * int) list, string) result
-(** Emit a snapshot event into every shard's journal; returns
-    [(shard, event seq)] pairs. [Error] (emitting nothing) if any shard
-    has no journal attached. *)
-
-(** {2 Ring internals}
-
-    The consistent-hash machinery, exposed so the parallel {!Cluster}
-    routes new ids bit-identically to this router (the sequential-
-    equivalence property the cluster tests rely on). *)
-
-type ring
-
-val hash32 : string -> int
-(** FNV-1a 32-bit with a murmur3 fmix32 finalizer — stable across runs
-    and OCaml versions. *)
-
-val make_ring : int -> ring
-(** The sorted virtual-node ring for [shards] shards (64 points each). *)
-
-val ring_lookup : ?weights:float array -> ring -> int -> int
-(** Shard owning the first ring point at or after the hash (wrapping).
-    Without [weights], equivalent to all weights 1. *)

@@ -60,7 +60,7 @@ type stats = {
 }
 
 type t = {
-  cluster : Shard.t;
+  cluster : Cluster.t;
   config : config;
   probe : int -> bool;
   clock : unit -> float;
@@ -83,7 +83,7 @@ let create ?(config = default_config) ?(probe = fun _ -> true) ?(clock = Unix.ge
     probe;
     clock;
     states =
-      Array.init (Shard.shard_count cluster) (fun _ ->
+      Array.init (Cluster.shard_count cluster) (fun _ ->
           { health = Healthy; fails = 0; ramp = 0 });
     evacuations = 0;
     evacuated_jobs = 0;
@@ -122,10 +122,10 @@ let transition_down t i ~reason =
   let st = t.states.(i) in
   st.health <- Down;
   st.ramp <- 0;
-  Shard.set_weight t.cluster i 0.0;
-  let before = Engine.job_count (Shard.engine t.cluster i) in
+  Cluster.set_weight t.cluster i 0.0;
+  let before = Cluster.query t.cluster i Engine.job_count in
   let moves, leftover =
-    match Shard.evacuate t.cluster ~from:i ~budget:t.config.evac_budget with
+    match Cluster.evacuate t.cluster ~from:i ~budget:t.config.evac_budget with
     | Ok (moves, leftover) -> (moves, leftover)
     | Error _ ->
       (* No routable survivor: the jobs stay stranded on the dead
@@ -136,18 +136,18 @@ let transition_down t i ~reason =
   t.evacuations <- t.evacuations + 1;
   t.evacuated_jobs <- t.evacuated_jobs + (before - leftover);
   t.stranded_jobs <- t.stranded_jobs + leftover;
-  (match Engine.journal (Shard.engine t.cluster i) with
-  | None -> ()
-  | Some sink ->
-    Journal.emit sink ~kind:"evacuation"
-      [
-        ("shard", Journal.Int i);
-        ("reason", Journal.Str reason);
-        ("jobs", Journal.Int (before - leftover));
-        ("leftover", Journal.Int leftover);
-        ("budget",
-         Journal.Int (if t.config.evac_budget = max_int then -1 else t.config.evac_budget));
-      ]);
+  let fields =
+    [
+      ("shard", Journal.Int i);
+      ("reason", Journal.Str reason);
+      ("jobs", Journal.Int (before - leftover));
+      ("leftover", Journal.Int leftover);
+      ("budget", Journal.Int (if t.config.evac_budget = max_int then -1 else t.config.evac_budget));
+    ]
+  in
+  (* The sink is the shard's single-writer state: emit on its owner. *)
+  Cluster.query t.cluster i (fun e ->
+      Option.iter (fun sink -> Journal.emit sink ~kind:"evacuation" fields) (Engine.journal e));
   moves
 
 let note_failure t i ~reason =
@@ -177,7 +177,7 @@ let note_success t i =
     st.fails <- 0;
     st.ramp <- min t.config.recovery_steps (st.ramp + 1);
     let w = float_of_int st.ramp /. float_of_int t.config.recovery_steps in
-    Shard.set_weight t.cluster i w;
+    Cluster.set_weight t.cluster i w;
     if st.ramp >= t.config.recovery_steps then st.health <- Healthy
 
 let tick t =
@@ -209,13 +209,13 @@ let readmit t i eng =
   if st.health <> Down then
     Error (Printf.sprintf "shard %d is %s, not down" i (health_name st.health))
   else
-    match Shard.replace_engine t.cluster i eng with
+    match Cluster.replace_engine t.cluster i eng with
     | Error _ as e -> e
     | Ok () ->
       st.health <- Recovering;
       st.fails <- 0;
       st.ramp <- 0;
-      Shard.set_weight t.cluster i 0.0;
+      Cluster.set_weight t.cluster i 0.0;
       t.readmissions <- t.readmissions + 1;
       Ok ()
 
@@ -231,63 +231,45 @@ let timed t f =
   let result = f () in
   (result, t.clock () -. t0)
 
-let watchdog_check t i dt =
-  if dt > t.config.op_deadline then begin
-    t.watchdog_trips <- t.watchdog_trips + 1;
-    note_failure t i ~reason:"watchdog"
-  end
-  else []
+let watchdog_check t dt served =
+  if dt <= t.config.op_deadline then []
+  else
+    match served () with
+    | None -> []
+    | Some i ->
+      t.watchdog_trips <- t.watchdog_trips + 1;
+      note_failure t i ~reason:"watchdog"
 
 let reject t msg =
   t.degraded_rejections <- t.degraded_rejections + 1;
   Error msg
 
-let add_job t ~id ~size =
-  if serving_shards t = 0 then reject t "no serving shards"
-  else begin
-    match Shard.shard_of t.cluster id with
-    | Some s when t.states.(s).health = Down ->
-      (* A stranded duplicate: the id is resident on a dead shard the
-         evacuation budget did not cover. *)
-      reject t (Printf.sprintf "job %s is stranded on down shard %d" id s)
-    | _ ->
-      (* Weight-aware routing never picks a Down shard while any
-         serving shard remains, so the home shard is safe to touch.
-         Attribution happens after the op — routing decides the shard
-         during the add. *)
-      let result, dt = timed t (fun () -> Shard.add_job t.cluster ~id ~size) in
-      (match result with
-      | Error _ as e -> e
-      | Ok (p, moves) ->
-        let extra =
-          match Shard.shard_of t.cluster id with
-          | Some s -> watchdog_check t s dt
-          | None -> []
-        in
-        Ok (p, moves @ extra))
-  end
-
-let remove_job t ~id =
-  match Shard.shard_of t.cluster id with
-  | Some s when t.states.(s).health = Down ->
+(* Every supervised mutation: refused on an all-down router (adds) or
+   when its job is stranded on a Down shard the evacuation budget did
+   not cover; otherwise run under the watchdog, which counts a blown
+   deadline against the shard that served the op — for an add looked
+   up after the op, since routing picks the shard (and weight-aware
+   routing never picks a Down one while any shard serves). *)
+let apply t op =
+  let id = Engine.op_id op in
+  let home = Cluster.shard_of t.cluster id in
+  match (op, home) with
+  | Engine.Add _, _ when serving_shards t = 0 -> reject t "no serving shards"
+  | _, Some s when t.states.(s).health = Down ->
     reject t (Printf.sprintf "job %s is stranded on down shard %d" id s)
-  | Some s ->
-    let result, dt = timed t (fun () -> Shard.remove_job t.cluster ~id) in
-    let extra = watchdog_check t s dt in
-    (match result with Ok (p, moves) -> Ok (p, moves @ extra) | Error _ as e -> e)
-  | None -> Error (Printf.sprintf "job %s not found" id)
+  | _ -> (
+    let result, dt = timed t (fun () -> Cluster.apply t.cluster op) in
+    let extra =
+      watchdog_check t dt (fun () ->
+          match home with None -> Cluster.shard_of t.cluster id | Some _ -> home)
+    in
+    match result with Ok (p, moves) -> Ok (p, moves @ extra) | Error _ as e -> e)
 
-let resize_job t ~id ~size =
-  match Shard.shard_of t.cluster id with
-  | Some s when t.states.(s).health = Down ->
-    reject t (Printf.sprintf "job %s is stranded on down shard %d" id s)
-  | Some s ->
-    let result, dt = timed t (fun () -> Shard.resize_job t.cluster ~id ~size) in
-    let extra = watchdog_check t s dt in
-    (match result with Ok (p, moves) -> Ok (p, moves @ extra) | Error _ as e -> e)
-  | None -> Error (Printf.sprintf "job %s not found" id)
+let add_job t ~id ~size = apply t (Engine.Add { id; size })
+let remove_job t ~id = apply t (Engine.Remove { id })
+let resize_job t ~id ~size = apply t (Engine.Resize { id; size })
 
-let rebalance t ~k = Shard.rebalance t.cluster ~k
+let rebalance t ~k = Cluster.rebalance t.cluster ~k
 
 let stats t =
   let count h = Array.fold_left (fun acc s -> if s.health = h then acc + 1 else acc) 0 t.states in

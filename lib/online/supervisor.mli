@@ -1,5 +1,6 @@
 (** The self-healing layer: per-shard health supervision over a
-    {!Shard} router, with automatic failover and re-admission.
+    {!Cluster} router (either executor), with automatic failover and
+    re-admission.
 
     Each shard carries a health state machine
 
@@ -15,10 +16,10 @@
 
     The Down transition is the failover: the shard's routing weight
     drops to 0 (new placements stop landing there — see
-    {!Shard.set_weight}), and up to [evac_budget] of its jobs are
-    re-homed onto the survivors through the router's ordinary
-    remove/add path, so every journal stays replayable and the
-    directory stays authoritative ({!Shard.evacuate}). An informational
+    {!Cluster.set_weight}), and up to [evac_budget] of its jobs are
+    re-homed onto the survivors through the router's two-phase moves,
+    so every journal stays replayable and the directory stays
+    authoritative ({!Cluster.evacuate}). An informational
     ["evacuation"] event in the dead shard's journal records the
     trigger ([probe], [watchdog], [report] or [manual]), the job count
     and the budget — provenance for the burst of removes that follows.
@@ -35,7 +36,11 @@
     from the survivors. Operations touching a job stranded on a dead
     shard (left behind by the evacuation budget) are rejected rather
     than routed into the corpse, and {!stats} exposes the full health
-    census for STATS/SHARDS/HEALTH reporting. *)
+    census for STATS/SHARDS/HEALTH reporting.
+
+    The supervisor's own state (health, counters) is unsynchronized:
+    drive it from one thread at a time, whatever the router's
+    executor — the daemon's operation lock does. *)
 
 type move = Engine.move = {
   id : string;
@@ -83,14 +88,14 @@ type stats = {
 type t
 
 val create :
-  ?config:config -> ?probe:(int -> bool) -> ?clock:(unit -> float) -> Shard.t -> t
+  ?config:config -> ?probe:(int -> bool) -> ?clock:(unit -> float) -> Cluster.t -> t
 (** Supervise [cluster]. [probe i] (default: always alive) answers
     whether shard [i] looks live — inject the fault source here.
     [clock] (default [Unix.gettimeofday]) feeds the watchdog; inject a
     fake for deterministic deadline tests. All shards start Healthy.
     @raise Invalid_argument on a nonsensical [config]. *)
 
-val cluster : t -> Shard.t
+val cluster : t -> Cluster.t
 (** The supervised router. Mutating it directly bypasses health
     guards and the watchdog — use the supervised operations. *)
 
@@ -128,18 +133,21 @@ val readmit : t -> int -> Engine.t -> (unit, string) result
     recovery ramp at weight 0. The engine must hold exactly the jobs
     the directory still maps to shard [i] — an engine resumed from the
     shard's own journal does, because the evacuation removes were
-    journaled ({!Shard.replace_engine}). [Error] if the shard is not
+    journaled ({!Cluster.replace_engine}). [Error] if the shard is not
     Down or the engine disagrees with the directory. *)
 
 val add_job : t -> id:string -> size:int -> (int * move list, string) result
-(** {!Shard.add_job} under the watchdog. Rejected when no shard is
+(** {!Cluster.add_job} under the watchdog. Rejected when no shard is
     serving or the id is stranded on a Down shard. *)
 
 val remove_job : t -> id:string -> (int * move list, string) result
 val resize_job : t -> id:string -> size:int -> (int * move list, string) result
 
+val apply : t -> Engine.op -> (int * move list, string) result
+(** One event through {!add_job}, {!remove_job} or {!resize_job}. *)
+
 val rebalance : t -> k:int -> move list
-(** {!Shard.rebalance} on the cluster (Down shards hold no weight and,
+(** {!Cluster.rebalance} on the cluster (Down shards hold no weight and,
     after evacuation, at most stranded jobs). *)
 
 val stats : t -> stats

@@ -1,12 +1,15 @@
-(* Parallel cluster tests: the qcheck equivalence property (a command
-   stream fanned across D worker domains must land in the same state as
-   the sequential router, for D ∈ {1, 2, 8}, with every per-shard
-   journal individually replayable), mailbox backpressure and close
-   semantics, two-phase move crash points, and a genuinely concurrent
-   multi-thread driver checked for directory integrity. *)
+(* Router tests. The sequential router is the cluster on the inline
+   executor (D = 0): the qcheck stream property (every shard's
+   bounded-repair invariant plus directory integrity for S ∈ {1, 2, 8}),
+   S=1 against a bare engine as the independent reference, and the
+   equivalence property — a command stream fanned across D ∈ {1, 2, 8}
+   worker domains lands in exactly the state, directory and move lists
+   of D = 0, with every per-shard journal individually replayable.
+   Then routing, weights and construction units, mailbox backpressure
+   and close semantics, two-phase move crash points, and a genuinely
+   concurrent multi-thread driver checked for directory integrity. *)
 
 module Engine = Rebal_online.Engine
-module Shard = Rebal_online.Shard
 module Cluster = Rebal_online.Cluster
 module Mailbox = Rebal_online.Mailbox
 module Replay = Rebal_online.Replay
@@ -37,15 +40,16 @@ let buffer_journals shards =
   in
   (bufs, journal_for)
 
-(* The same adversarial stream shape as the shard suite: m >= 8 so an
-   8-shard split is constructible. *)
+(* An adversarial stream: m >= 8 so an 8-shard split is
+   constructible; duplicate adds and missing removes are part of it —
+   the router must reject them without corrupting the directory. *)
 let stream_gen =
   let open QCheck2 in
   Gen.(
     let* m = int_range 8 16 in
     let id = map (fun i -> Printf.sprintf "j%d" i) (int_range 0 24) in
     let* events =
-      list_size (int_range 0 60)
+      list_size (int_range 0 80)
         (oneof
            [
              map2 (fun id size -> `Add (id, size)) id (int_range 1 60);
@@ -57,17 +61,7 @@ let stream_gen =
     let* k = int_range 0 20 in
     return (m, events, k))
 
-let apply_to_shard sh events =
-  List.iter
-    (fun ev ->
-      match ev with
-      | `Add (id, size) -> ignore (Shard.add_job sh ~id ~size)
-      | `Remove id -> ignore (Shard.remove_job sh ~id)
-      | `Resize (id, size) -> ignore (Shard.resize_job sh ~id ~size)
-      | `Rebalance k -> ignore (Shard.rebalance sh ~k))
-    events
-
-let apply_to_cluster c events =
+let apply_events c events =
   List.iter
     (fun ev ->
       match ev with
@@ -77,58 +71,242 @@ let apply_to_cluster c events =
       | `Rebalance k -> ignore (Cluster.rebalance c ~k))
     events
 
-(* The tentpole property: a quiescent cluster is observationally the
-   sequential router, whatever the domain count — same loads, same
-   global peak, same directory, same repair decisions — and every
-   per-shard journal replays to the engine the worker left behind. *)
+(* Every shard journal replays to the engine the router left behind. *)
+let journals_replay c bufs =
+  Array.for_all
+    (fun i ->
+      let eng = Cluster.engine c i in
+      match Result.bind (Journal.parse_string (Buffer.contents bufs.(i))) Replay.run with
+      | Error _ -> false
+      | Ok o ->
+        o.Replay.consistency_ok
+        && o.Replay.final_makespan = Engine.makespan eng
+        && o.Replay.final_jobs = Engine.job_count eng)
+    (Array.init (Cluster.shard_count c) Fun.id)
+
+(* The equivalence property: a quiescent router is observationally the
+   same whatever its executor — same loads, same global peak, same
+   directory, same repair decisions — and every per-shard journal, the
+   inline router's included, replays to the engine it left behind. *)
 let prop_cluster_matches_shard =
   QCheck2.Test.make
-    ~name:"cluster = sequential shard router for D in {1,2,8}, journals replayable"
+    ~name:"cluster = sequential shard router: D=0 and D in {1,2,8} agree, journals replay"
     ~count:40 stream_gen
     (fun (m, events, k) ->
       let shards = 8 in
-      let sh = Shard.create ~m ~shards () in
-      apply_to_shard sh events;
-      let seq_moves = Shard.rebalance sh ~k in
+      let seq_bufs, journal_for = buffer_journals shards in
+      let seq = Cluster.create ~journal_for ~m ~shards ~domains:0 () in
+      apply_events seq events;
+      let seq_moves = Cluster.rebalance seq ~k in
+      journals_replay seq seq_bufs
+      && List.for_all
+           (fun domains ->
+             let bufs, journal_for = buffer_journals shards in
+             let c = Cluster.create ~journal_for ~m ~shards ~domains () in
+             apply_events c events;
+             let par_moves = Cluster.rebalance c ~k in
+             let state_equal =
+               Cluster.loads c = Cluster.loads seq
+               && Cluster.makespan c = Cluster.makespan seq
+               && Cluster.job_count c = Cluster.job_count seq
+               && par_moves = seq_moves
+               && Cluster.stats c = Cluster.stats seq
+               && Array.for_all2
+                    (fun (a : Engine.stats) (b : Engine.stats) ->
+                      a.Engine.makespan = b.Engine.makespan && a.Engine.jobs = b.Engine.jobs)
+                    (Cluster.shard_stats c) (Cluster.shard_stats seq)
+               && List.for_all
+                    (fun id -> Cluster.shard_of c id = Cluster.shard_of seq id)
+                    (List.init 25 (Printf.sprintf "j%d"))
+               && Cluster.check_consistency c ~k
+               && Cluster.check_consistency c ~k:max_int
+             in
+             Cluster.shutdown c;
+             state_equal && journals_replay c bufs)
+           [ 1; 2; 8 ])
+
+let prop_sharded_stream_consistent =
+  QCheck2.Test.make
+    ~name:"sharded stream: check_consistency holds for S in {1,2,8}" ~count:200 stream_gen
+    (fun (m, events, k) ->
       List.for_all
-        (fun domains ->
-          let bufs, journal_for = buffer_journals shards in
-          let c = Cluster.create ~journal_for ~m ~shards ~domains () in
-          apply_to_cluster c events;
-          let par_moves = Cluster.rebalance c ~k in
-          let state_equal =
-            Cluster.loads c = Shard.loads sh
-            && Cluster.makespan c = Shard.makespan sh
-            && Cluster.job_count c = Shard.job_count sh
-            && par_moves = seq_moves
-            && Array.for_all2
-                 (fun (a : Engine.stats) (b : Engine.stats) ->
-                   a.Engine.makespan = b.Engine.makespan
-                   && a.Engine.jobs = b.Engine.jobs)
-                 (Cluster.shard_stats c) (Shard.shard_stats sh)
-            && List.for_all
-                 (fun id -> Cluster.shard_of c id = Shard.shard_of sh id)
-                 (List.init 25 (Printf.sprintf "j%d"))
-            && Cluster.check_consistency c ~k
-            && Cluster.check_consistency c ~k:max_int
-          in
-          Cluster.shutdown c;
-          state_equal
-          && Array.for_all
-               (fun i ->
-                 let eng = Cluster.engine c i in
-                 match
-                   Result.bind
-                     (Journal.parse_string (Buffer.contents bufs.(i)))
-                     Replay.run
-                 with
-                 | Error _ -> false
-                 | Ok o ->
-                   o.Replay.consistency_ok
-                   && o.Replay.final_makespan = Engine.makespan eng
-                   && o.Replay.final_jobs = Engine.job_count eng)
-               (Array.init shards Fun.id))
+        (fun shards ->
+          let c = Cluster.create ~m ~shards ~domains:0 () in
+          apply_events c events;
+          let loads = Cluster.loads c in
+          Cluster.check_consistency c ~k
+          && Cluster.check_consistency c ~k:max_int
+          && Array.length loads = m
+          && Array.fold_left ( + ) 0 loads = (Cluster.stats c).Cluster.total_size
+          && Array.fold_left max 0 loads = Cluster.makespan c
+          && Cluster.job_count c
+             = Array.fold_left ( + ) 0
+                 (Array.init shards (fun i -> Engine.job_count (Cluster.engine c i))))
         [ 1; 2; 8 ])
+
+let prop_single_shard_matches_engine =
+  QCheck2.Test.make ~name:"S=1 router behaves exactly like a bare engine" ~count:200
+    stream_gen
+    (fun (m, events, k) ->
+      let c = Cluster.create ~m ~shards:1 ~domains:0 () in
+      let eng = Engine.create ~m () in
+      apply_events c events;
+      List.iter
+        (fun ev ->
+          match ev with
+          | `Add (id, size) -> ignore (Engine.add_job eng ~id ~size)
+          | `Remove id -> ignore (Engine.remove_job eng ~id)
+          | `Resize (id, size) -> ignore (Engine.resize_job eng ~id ~size)
+          | `Rebalance k -> ignore (Engine.rebalance eng ~k))
+        events;
+      ignore (Cluster.rebalance c ~k);
+      ignore (Engine.rebalance eng ~k);
+      Cluster.loads c = Engine.loads eng
+      && Cluster.makespan c = Engine.makespan eng
+      && Cluster.job_count c = Engine.job_count eng)
+
+(* --- routing ------------------------------------------------------------- *)
+
+(* Unit bodies run on both executors; [query] reads a live engine on its
+   owner either way, and each router is shut down afterwards. *)
+let on_executors f =
+  List.iter
+    (fun domains ->
+      let c = f ~domains in
+      Cluster.shutdown c)
+    [ 0; 2 ]
+
+let engine_m c i = Cluster.query c i Engine.m
+
+let test_routing_is_sticky () =
+  on_executors @@ fun ~domains ->
+  let c = Cluster.create ~m:8 ~shards:4 ~domains () in
+  for i = 0 to 199 do
+    ignore (ok (Cluster.add_job c ~id:(Printf.sprintf "j%d" i) ~size:(1 + (i mod 17))))
+  done;
+  check_int "all jobs present" 200 (Cluster.job_count c);
+  for i = 0 to 199 do
+    let id = Printf.sprintf "j%d" i in
+    match Cluster.shard_of c id with
+    | None -> Alcotest.failf "%s lost by the directory" id
+    | Some s ->
+      check_bool "directory agrees with the shard" true
+        (Cluster.query c s (fun e -> Engine.mem e id));
+      (* find translates the per-shard processor into the global index. *)
+      (match Cluster.find c id with
+      | Some (_, p) ->
+        check_bool "global proc in the shard's range" true
+          (p >= Cluster.offset c s && p < Cluster.offset c s + engine_m c s)
+      | None -> Alcotest.fail "find lost a live job")
+  done;
+  (* Re-adding after a remove lands back on the hash-home shard. *)
+  let home = Option.get (Cluster.shard_of c "j7") in
+  ignore (ok (Cluster.remove_job c ~id:"j7"));
+  check_bool "removed from directory" false (Cluster.mem c "j7");
+  ignore (ok (Cluster.add_job c ~id:"j7" ~size:3));
+  check_int "hash routing is deterministic" home (Option.get (Cluster.shard_of c "j7"));
+  c
+
+let test_inter_shard_move () =
+  on_executors @@ fun ~domains ->
+  (* Two single-processor shards, all load on the first: per-shard repair
+     cannot help (one processor is trivially balanced), so only the
+     cross-shard pass can lower the global peak. *)
+  let c =
+    ok
+      (Cluster.of_engines ~domains ~shards:2 (fun i ->
+           let e = Engine.create ~m:1 () in
+           if i = 0 then begin
+             ignore (Engine.add_job e ~id:"big" ~size:100);
+             ignore (Engine.add_job e ~id:"small" ~size:60)
+           end;
+           e))
+  in
+  check_int "peak before" 160 (Cluster.makespan c);
+  let moves = Cluster.rebalance c ~k:8 in
+  check_int "peak after the cross-shard transfer" 100 (Cluster.makespan c);
+  check_int "exactly one transfer" 1 (List.length moves);
+  (match moves with
+  | [ mv ] ->
+    check Alcotest.string "the big job moved" "big" mv.Cluster.id;
+    check_int "from global proc 0" 0 mv.Cluster.src;
+    check_int "to global proc 1" 1 mv.Cluster.dst
+  | _ -> Alcotest.fail "expected the single transfer as a move");
+  check_int "directory follows the move" 1 (Option.get (Cluster.shard_of c "big"));
+  check_int "inter_moves counted" 1 (Cluster.stats c).Cluster.inter_moves;
+  check_bool "still consistent" true (Cluster.check_consistency c ~k:8);
+  (* No further improvement is possible: the pass must not thrash. *)
+  check_int "idempotent" 0 (List.length (Cluster.rebalance c ~k:8));
+  c
+
+let test_weights () =
+  on_executors @@ fun ~domains ->
+  let c = Cluster.create ~m:4 ~shards:2 ~domains () in
+  Alcotest.check_raises "weights live in [0, 1]"
+    (Invalid_argument "Cluster.set_weight: weight must be in [0, 1]") (fun () ->
+      Cluster.set_weight c 0 1.5);
+  Cluster.set_weight c 1 0.0;
+  for i = 0 to 49 do
+    ignore (ok (Cluster.add_job c ~id:(Printf.sprintf "w%d" i) ~size:(1 + i)))
+  done;
+  check_int "a zero-weight shard takes no new routes" 0 (Cluster.query c 1 Engine.job_count);
+  check_bool "and sits out the cross-shard pass" true
+    (List.for_all (fun mv -> mv.Cluster.dst < Cluster.offset c 1) (Cluster.rebalance c ~k:8));
+  (* Evacuating the loaded shard onto the (re-weighted) other one. *)
+  Cluster.set_weight c 1 1.0;
+  Cluster.set_weight c 0 0.0;
+  let _, left = ok (Cluster.evacuate c ~from:0 ~budget:10) in
+  check_int "budget honoured" 40 left;
+  check_int "evacuated jobs landed" 10 (Cluster.query c 1 Engine.job_count);
+  check_bool "consistent after evacuation" true (Cluster.check_consistency c ~k:8);
+  (match Cluster.replace_engine c 0 (Engine.create ~m:2 ()) with
+  | Ok () -> Alcotest.fail "replacement disagreeing with the directory accepted"
+  | Error e -> check_bool ("names the mismatch: " ^ e) true (String.length e > 0));
+  c
+
+(* --- construction -------------------------------------------------------- *)
+
+let test_of_engines_rejects_duplicates () =
+  let e0 = Engine.create ~m:1 () and e1 = Engine.create ~m:1 () in
+  ignore (Engine.add_job e0 ~id:"x" ~size:5);
+  ignore (Engine.add_job e1 ~id:"x" ~size:7);
+  match Cluster.of_engines ~domains:0 ~shards:2 (fun i -> if i = 0 then e0 else e1) with
+  | Ok _ -> Alcotest.fail "duplicate residency accepted"
+  | Error e -> check_bool ("names the job: " ^ e) true (String.length e > 0)
+
+let test_split_validation () =
+  Alcotest.check_raises "zero shards"
+    (Invalid_argument "Cluster.create: need at least one shard") (fun () ->
+      ignore (Cluster.create ~m:4 ~shards:0 ~domains:0 ()));
+  Alcotest.check_raises "more shards than processors"
+    (Invalid_argument "Cluster.create: need at least one processor per shard") (fun () ->
+      ignore (Cluster.create ~m:2 ~shards:3 ~domains:0 ()));
+  (* Uneven splits hand the remainder to the first shards. *)
+  let c = Cluster.create ~m:7 ~shards:3 ~domains:0 () in
+  check_int "shard 0 procs" 3 (Engine.m (Cluster.engine c 0));
+  check_int "shard 1 procs" 2 (Engine.m (Cluster.engine c 1));
+  check_int "shard 2 procs" 2 (Engine.m (Cluster.engine c 2));
+  check_int "offsets partition" 3 (Cluster.offset c 1);
+  check_int "offsets partition" 5 (Cluster.offset c 2);
+  match Cluster.journal_snapshot c with
+  | Ok _ -> Alcotest.fail "snapshot without journals must fail"
+  | Error e -> check_bool "names the missing sinks" true (String.length e > 0)
+
+let test_aggregated_stats () =
+  let c = Cluster.create ~m:8 ~shards:2 ~domains:0 () in
+  for i = 0 to 49 do
+    ignore (ok (Cluster.add_job c ~id:(Printf.sprintf "j%d" i) ~size:(1 + (i mod 9))))
+  done;
+  ignore (Cluster.rebalance c ~k:4);
+  let st = Cluster.stats c in
+  check_int "shards" 2 st.Cluster.shards;
+  check_int "jobs" 50 st.Cluster.jobs;
+  check_int "procs" 8 st.Cluster.procs;
+  check_int "adds summed" 50 st.Cluster.adds;
+  check_int "makespan is the global peak" (Cluster.makespan c) st.Cluster.makespan;
+  check_bool "imbalance sane" true (st.Cluster.imbalance >= 1.0 -. 1e-9);
+  check_int "per-shard view has one entry per shard" 2
+    (Array.length (Cluster.shard_stats c))
 
 (* --- mailbox ------------------------------------------------------------- *)
 
@@ -212,7 +390,7 @@ let test_move_commits () =
   check_int "one recorded transfer" 1 (List.length moves);
   check Alcotest.(option int) "directory follows the move" (Some dst)
     (Cluster.shard_of c "big");
-  check_int "inter_moves counted" 1 (Cluster.stats c).Shard.inter_moves;
+  check_int "inter_moves counted" 1 (Cluster.stats c).Cluster.inter_moves;
   check_bool "consistent after commit" true (Cluster.check_consistency c ~k:8);
   check Alcotest.(result (list unit) string) "move to own shard is a no-op" (Ok [])
     (Result.map (List.map ignore) (Cluster.move c ~id:"big" ~dst));
@@ -236,7 +414,7 @@ let test_move_crash_rolls_back () =
     (Cluster.shard_of c "big");
   check_int "no job lost" before_jobs (Cluster.job_count c);
   check_int "load restored" before_peak (Cluster.makespan c);
-  check_int "rolled-back transfer not counted" 0 (Cluster.stats c).Shard.inter_moves;
+  check_int "rolled-back transfer not counted" 0 (Cluster.stats c).Cluster.inter_moves;
   check_bool "consistent after rollback" true (Cluster.check_consistency c ~k:8);
   (* The id is fully settled: ordinary traffic proceeds. *)
   ignore (ok (Cluster.resize_job c ~id:"big" ~size:50));
@@ -316,13 +494,15 @@ let test_shutdown_semantics () =
     (Engine.job_count (Cluster.engine c 0) + Engine.job_count (Cluster.engine c 1))
 
 let test_create_validation () =
-  Alcotest.check_raises "zero domains"
-    (Invalid_argument "Cluster: need at least one domain") (fun () ->
-      ignore (Cluster.create ~m:4 ~shards:2 ~domains:0 ()));
+  Alcotest.check_raises "negative domains"
+    (Invalid_argument "Cluster: domain count must be non-negative") (fun () ->
+      ignore (Cluster.create ~m:4 ~shards:2 ~domains:(-1) ()));
+  check_int "zero domains is the inline executor" 0
+    (Cluster.domain_count (Cluster.create ~m:4 ~shards:2 ~domains:0 ()));
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Cluster.create: need a positive mailbox capacity") (fun () ->
       ignore (Cluster.create ~m:4 ~shards:2 ~mailbox_capacity:0 ()));
-  (* Domains clamp to the shard count; uneven splits match Shard. *)
+  (* Domains clamp to the shard count. *)
   let c = Cluster.create ~m:7 ~shards:3 ~domains:64 () in
   check_int "domains clamped to shards" 3 (Cluster.domain_count c);
   check_int "offsets partition" 3 (Cluster.offset c 1);
@@ -340,11 +520,28 @@ let test_create_validation () =
     Alcotest.fail "duplicate residency accepted"
   | Error e -> check_bool ("names the duplicate: " ^ e) true (String.length e > 0)
 
+(* Alcotest pads each test name to the longest group label of its run and
+   truncates it to the terminal width, so a long label shortens every printed
+   name in the run. The stream properties run on their own to keep the printed
+   names of both runs stable for tools that track tests by name. *)
 let () =
-  Alcotest.run "rebal_cluster"
+  Alcotest.run ~and_exit:false "rebal_cluster"
     [
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest prop_cluster_matches_shard ] );
+      ( "routing",
+        [
+          Alcotest.test_case "directory is sticky and global" `Quick test_routing_is_sticky;
+          Alcotest.test_case "cross-shard move pass" `Quick test_inter_shard_move;
+          Alcotest.test_case "weights steer routing, repair and evacuation" `Quick test_weights;
+        ] );
+      ( "construction",
+        [
+          Alcotest.test_case "duplicate residency rejected" `Quick
+            test_of_engines_rejects_duplicates;
+          Alcotest.test_case "creation validation and splits" `Quick test_split_validation;
+          Alcotest.test_case "aggregated stats" `Quick test_aggregated_stats;
+        ] );
       ( "mailbox",
         [
           Alcotest.test_case "backpressure blocks and wakes" `Quick
@@ -364,5 +561,13 @@ let () =
             test_concurrent_drivers;
           Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
           Alcotest.test_case "creation validation" `Quick test_create_validation;
+        ] );
+    ];
+  Alcotest.run "rebal_cluster_streams"
+    [
+      ( "stream properties",
+        [
+          QCheck_alcotest.to_alcotest prop_sharded_stream_consistent;
+          QCheck_alcotest.to_alcotest prop_single_shard_matches_engine;
         ] );
     ]

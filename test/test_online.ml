@@ -304,6 +304,43 @@ let test_protocol_errors_and_verdicts () =
   | Ok (Some (Protocol.Rebalance k)) -> check_bool "default k unbounded" true (k = max_int)
   | _ -> Alcotest.fail "bare REBALANCE must parse"
 
+(* Every verb [parse] accepts — one sample line each, aliases
+   included — must be named in the HELP reply, and every verb HELP
+   names must parse. *)
+let test_protocol_help_lists_verbs () =
+  let eng = Engine.create ~m:2 () in
+  let help = fst (Protocol.handle_line (Protocol.Single eng) "HELP") in
+  let words =
+    String.concat " " help
+    |> String.map (fun c -> if c >= 'A' && c <= 'Z' then c else ' ')
+    |> String.split_on_char ' '
+    |> List.filter (fun w -> String.length w > 1)
+  in
+  List.iter
+    (fun line ->
+      let verb = List.hd (String.split_on_char ' ' line) in
+      (match Protocol.parse line with
+      | Ok (Some _) -> ()
+      | Ok None | Error _ -> Alcotest.failf "%S must parse" line);
+      check_bool (verb ^ " listed in HELP") true (List.mem verb words))
+    [
+      "ADD a 1"; "REMOVE a"; "RESIZE a 2"; "REBALANCE 3"; "STATS"; "SHARDS"; "HEALTH";
+      "SNAPSHOT"; "METRICS"; "JOURNAL 5"; "TRACES 5"; "ALERTS"; "TSDB rebal_engine_jobs 30s";
+      "HELP"; "QUIT"; "EXIT"; "SHUTDOWN";
+    ];
+  List.iter
+    (fun l ->
+      match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+      | "OK" :: verb :: _ when verb <> "commands:" ->
+        let unknown =
+          match Protocol.parse verb with
+          | Error e -> String.length e >= 15 && String.sub e 0 15 = "unknown command"
+          | Ok _ -> false
+        in
+        check_bool (verb ^ " from HELP is a known verb") false unknown
+      | _ -> ())
+    help
+
 let test_protocol_auto_moves_stream () =
   let eng = Engine.create ~trigger:(Engine.Every_events { events = 3; k = 8 }) ~m:4 () in
   let out = run_session eng [ "ADD x 50"; "ADD y 10"; "ADD z 60" ] in
@@ -614,6 +651,7 @@ let () =
           Alcotest.test_case "auto repair streams moves" `Quick test_protocol_auto_moves_stream;
           Alcotest.test_case "metrics exposition" `Quick test_protocol_metrics;
           Alcotest.test_case "journal tail verb" `Quick test_protocol_journal_verb;
+          Alcotest.test_case "HELP lists every verb" `Quick test_protocol_help_lists_verbs;
         ] );
       ( "flight recorder",
         [

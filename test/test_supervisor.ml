@@ -3,10 +3,12 @@
    S ∈ {2, 8}, evacuating a shard under an adversarial stream conserves
    every job, keeps the directory consistent, leaves every journal
    (evacuated shard included) replaying to the live state, and the
-   evacuated shard restores from its own journal and readmits. *)
+   evacuated shard restores from its own journal and readmits. Every
+   case runs on the inline executor (D = 0) and on two worker domains;
+   live engines are only ever read through [Cluster.query]. *)
 
 module Engine = Rebal_online.Engine
-module Shard = Rebal_online.Shard
+module Cluster = Rebal_online.Cluster
 module Supervisor = Rebal_online.Supervisor
 module Replay = Rebal_online.Replay
 module Journal = Rebal_obs.Journal
@@ -26,34 +28,59 @@ let health_eq =
 
 (* A cluster whose every shard journals into a buffer, so tests can
    replay what the engines recorded. *)
-let journaled_cluster ~m ~shards =
+let journaled_cluster ~domains ~m ~shards =
   let buffers = Array.init shards (fun _ -> Buffer.create 1024) in
   let cluster =
-    Shard.create
+    Cluster.create
       ~journal_for:(fun i -> Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-      ~m ~shards ()
+      ~domains ~m ~shards ()
   in
   (cluster, buffers)
+
+let executors = [ 0; 2 ]
+
+(* Run a unit body on every executor, shutting its router down after. *)
+let on_executors f =
+  List.iter
+    (fun domains ->
+      let cluster = f ~domains in
+      Cluster.shutdown cluster)
+    executors
+
+let job_count cluster i = Cluster.query cluster i Engine.job_count
 
 let replay_matches cluster buffers i =
   match Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume with
   | Error _ -> false
   | Ok (eng, _) ->
-    let live = Shard.engine cluster i in
-    Engine.job_count eng = Engine.job_count live
-    && Engine.makespan eng = Engine.makespan live
-    && Engine.fold_jobs live
-         (fun acc ~id ~size ~proc ->
-           acc
-           && match Engine.find eng id with Some (sz, p) -> sz = size && p = proc | None -> false)
-         true
+    Cluster.query cluster i (fun live ->
+        Engine.job_count eng = Engine.job_count live
+        && Engine.makespan eng = Engine.makespan live
+        && Engine.fold_jobs live
+             (fun acc ~id ~size ~proc ->
+               acc
+               &&
+               match Engine.find eng id with
+               | Some (sz, p) -> sz = size && p = proc
+               | None -> false)
+             true)
 
 let live_jobs cluster =
   List.concat
-    (List.init (Shard.shard_count cluster) (fun i ->
-         Engine.fold_jobs (Shard.engine cluster i)
-           (fun acc ~id ~size ~proc:_ -> (id, size) :: acc)
-           []))
+    (List.init (Cluster.shard_count cluster) (fun i ->
+         Cluster.query cluster i (fun e ->
+             Engine.fold_jobs e (fun acc ~id ~size ~proc:_ -> (id, size) :: acc) [])))
+
+(* The victim's engine restored from its own journal, appending to it. *)
+let restore buffers i =
+  Result.map
+    (fun (eng, outcome) ->
+      Engine.set_journal eng
+        (Some
+           (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
+              ~write:(Buffer.add_string buffers.(i)) ()));
+      eng)
+    (Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume)
 
 (* ----- the failover property ----- *)
 
@@ -87,12 +114,12 @@ let apply_events sup events =
 
 let prop_failover_conserves_work =
   QCheck2.Test.make
-    ~name:"evacuate + readmit conserves work and replays cleanly for S in {2,8}" ~count:100
-    stream_gen
+    ~name:"evacuate + readmit conserves work and replays cleanly for S in {2,8}, D in {0,2}"
+    ~count:100 stream_gen
     (fun (m, events, victim) ->
       List.for_all
-        (fun shards ->
-          let cluster, buffers = journaled_cluster ~m ~shards in
+        (fun (shards, domains) ->
+          let cluster, buffers = journaled_cluster ~domains ~m ~shards in
           let sup = Supervisor.create cluster in
           apply_events sup events;
           let before = List.sort compare (live_jobs cluster) in
@@ -102,28 +129,19 @@ let prop_failover_conserves_work =
           let after = List.sort compare (live_jobs cluster) in
           let conserved = before = after in
           let evacuated =
-            Engine.job_count (Shard.engine cluster victim) = 0
-            && Shard.weight cluster victim = 0.0
+            job_count cluster victim = 0
+            && Cluster.weight cluster victim = 0.0
             && Supervisor.health sup victim = Supervisor.Down
           in
-          let consistent = Shard.check_consistency cluster ~k:8 in
+          let consistent = Cluster.check_consistency cluster ~k:8 in
           let replays =
             List.for_all (replay_matches cluster buffers) (List.init shards Fun.id)
           in
           (* Readmit from the victim's own journal, ramp back, keep going. *)
           let readmitted =
-            match
-              Result.bind
-                (Journal.parse_string (Buffer.contents buffers.(victim)))
-                Replay.resume
-            with
+            match restore buffers victim with
             | Error _ -> false
-            | Ok (eng, outcome) ->
-              Engine.set_journal eng
-                (Some
-                   (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-                      ~write:(Buffer.add_string buffers.(victim)) ()));
-              Result.is_ok (Supervisor.readmit sup victim eng)
+            | Ok eng -> Result.is_ok (Supervisor.readmit sup victim eng)
           in
           let ramped =
             readmitted
@@ -132,17 +150,18 @@ let prop_failover_conserves_work =
                    ignore (Supervisor.tick sup)
                  done;
                  Supervisor.health sup victim = Supervisor.Healthy
-                 && Shard.weight cluster victim = 1.0
+                 && Cluster.weight cluster victim = 1.0
                end
           in
           apply_events sup events;
-          let final_consistent = Shard.check_consistency cluster ~k:8 in
+          let final_consistent = Cluster.check_consistency cluster ~k:8 in
           let final_replays =
             List.for_all (replay_matches cluster buffers) (List.init shards Fun.id)
           in
+          Cluster.shutdown cluster;
           conserved && evacuated && consistent && replays && ramped && final_consistent
           && final_replays)
-        [ 2; 8 ])
+        (List.concat_map (fun shards -> List.map (fun d -> (shards, d)) executors) [ 2; 8 ]))
 
 (* ----- state machine units ----- *)
 
@@ -151,7 +170,8 @@ let config ?(suspect_after = 1) ?(down_after = 3) ?(op_deadline = 1.0)
   { Supervisor.suspect_after; down_after; op_deadline; evac_budget; recovery_steps }
 
 let test_probe_streaks () =
-  let cluster, _ = journaled_cluster ~m:8 ~shards:2 in
+  on_executors @@ fun ~domains ->
+  let cluster, _ = journaled_cluster ~domains ~m:8 ~shards:2 in
   let alive = [| true; true |] in
   let sup = Supervisor.create ~config:(config ()) ~probe:(fun i -> alive.(i)) cluster in
   for i = 0 to 19 do
@@ -169,12 +189,12 @@ let test_probe_streaks () =
   ignore (Supervisor.tick sup);
   ignore (Supervisor.tick sup);
   check health_eq "two failures -> still suspect" Supervisor.Suspect (Supervisor.health sup 1);
-  let jobs_on_1 = Engine.job_count (Shard.engine cluster 1) in
+  let jobs_on_1 = job_count cluster 1 in
   ignore (Supervisor.tick sup);
   check health_eq "third failure -> down" Supervisor.Down (Supervisor.health sup 1);
-  check_bool "weight dropped" true (Shard.weight cluster 1 = 0.0);
-  check_int "victim drained" 0 (Engine.job_count (Shard.engine cluster 1));
-  check_int "survivor absorbed the jobs" 20 (Engine.job_count (Shard.engine cluster 0));
+  check_bool "weight dropped" true (Cluster.weight cluster 1 = 0.0);
+  check_int "victim drained" 0 (job_count cluster 1);
+  check_int "survivor absorbed the jobs" 20 (job_count cluster 0);
   let h = Supervisor.stats sup in
   check_int "one evacuation" 1 h.Supervisor.evacuations;
   check_int "evacuated jobs counted" jobs_on_1 h.Supervisor.evacuated_jobs;
@@ -182,10 +202,12 @@ let test_probe_streaks () =
   alive.(1) <- true;
   ignore (Supervisor.tick sup);
   check health_eq "down stays down without readmit" Supervisor.Down (Supervisor.health sup 1);
-  check_bool "cluster still consistent" true (Shard.check_consistency cluster ~k:8)
+  check_bool "cluster still consistent" true (Cluster.check_consistency cluster ~k:8);
+  cluster
 
 let test_watchdog_deadline () =
-  let cluster, _ = journaled_cluster ~m:8 ~shards:2 in
+  on_executors @@ fun ~domains ->
+  let cluster, _ = journaled_cluster ~domains ~m:8 ~shards:2 in
   (* Every clock read advances 0.8s: each timed op sees dt = 0.8 under a
      1.0s deadline (no trip) — until the deadline is tightened. *)
   let now = ref 0.0 in
@@ -211,10 +233,12 @@ let test_watchdog_deadline () =
   check_int "the slow shard went down" 1 h.Supervisor.down;
   check_bool "evacuation ran" true (h.Supervisor.evacuations >= 1);
   check_bool "cluster consistent after watchdog evacuation" true
-    (Shard.check_consistency cluster ~k:8)
+    (Cluster.check_consistency cluster ~k:8);
+  cluster
 
 let test_recovery_ramp () =
-  let cluster, buffers = journaled_cluster ~m:8 ~shards:2 in
+  on_executors @@ fun ~domains ->
+  let cluster, buffers = journaled_cluster ~domains ~m:8 ~shards:2 in
   let alive = [| true; true |] in
   let sup =
     Supervisor.create
@@ -229,60 +253,49 @@ let test_recovery_ramp () =
   ignore (Supervisor.tick sup);
   check health_eq "down" Supervisor.Down (Supervisor.health sup 0);
   alive.(0) <- true;
-  let eng, outcome =
-    ok (Result.bind (Journal.parse_string (Buffer.contents buffers.(0))) Replay.resume)
-  in
-  Engine.set_journal eng
-    (Some
-       (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-          ~write:(Buffer.add_string buffers.(0)) ()));
-  ok (Supervisor.readmit sup 0 eng);
+  ok (Supervisor.readmit sup 0 (ok (restore buffers 0)));
   check health_eq "readmitted -> recovering" Supervisor.Recovering (Supervisor.health sup 0);
-  check_bool "re-enters at weight 0" true (Shard.weight cluster 0 = 0.0);
+  check_bool "re-enters at weight 0" true (Cluster.weight cluster 0 = 0.0);
   let expected = [ 0.25; 0.5; 0.75; 1.0 ] in
   List.iteri
     (fun step w ->
       ignore (Supervisor.tick sup);
       check (Alcotest.float 1e-9) (Printf.sprintf "ramp step %d" (step + 1)) w
-        (Shard.weight cluster 0))
+        (Cluster.weight cluster 0))
     expected;
   check health_eq "full ramp -> healthy" Supervisor.Healthy (Supervisor.health sup 0);
   (* A failure mid-ramp sends the shard straight back down. *)
   alive.(1) <- false;
   ignore (Supervisor.tick sup);
   alive.(1) <- true;
-  let eng1, outcome1 =
-    ok (Result.bind (Journal.parse_string (Buffer.contents buffers.(1))) Replay.resume)
-  in
-  Engine.set_journal eng1
-    (Some
-       (Journal.create ~start_seq:outcome1.Replay.events ~header_written:true
-          ~write:(Buffer.add_string buffers.(1)) ()));
-  ok (Supervisor.readmit sup 1 eng1);
+  ok (Supervisor.readmit sup 1 (ok (restore buffers 1)));
   ignore (Supervisor.tick sup);
   check health_eq "ramping" Supervisor.Recovering (Supervisor.health sup 1);
   alive.(1) <- false;
   ignore (Supervisor.tick sup);
   check health_eq "failure mid-ramp -> down again" Supervisor.Down (Supervisor.health sup 1);
-  check_bool "weight back to 0" true (Shard.weight cluster 1 = 0.0)
+  check_bool "weight back to 0" true (Cluster.weight cluster 1 = 0.0);
+  cluster
 
 let test_degraded_mode () =
-  let cluster, _ = journaled_cluster ~m:8 ~shards:2 in
+  on_executors @@ fun ~domains ->
+  let cluster, _ = journaled_cluster ~domains ~m:8 ~shards:2 in
   let sup = Supervisor.create ~config:(config ~evac_budget:3 ()) cluster in
   for i = 0 to 19 do
     ignore (ok (Supervisor.add_job sup ~id:(Printf.sprintf "j%d" i) ~size:(1 + (i mod 7))))
   done;
-  let victim_jobs = Engine.job_count (Shard.engine cluster 0) in
+  let victim_jobs = job_count cluster 0 in
   Alcotest.(check bool) "victim holds more than the budget" true (victim_jobs > 3);
   ignore (Supervisor.mark_down sup 0);
   let h = Supervisor.stats sup in
   check_int "budget honoured" 3 h.Supervisor.evacuated_jobs;
   check_int "rest stranded" (victim_jobs - 3) h.Supervisor.stranded_jobs;
   check_int "stranded jobs stay on the dead engine" (victim_jobs - 3)
-    (Engine.job_count (Shard.engine cluster 0));
+    (job_count cluster 0);
   (* Ops on a stranded job are refused, not routed into the corpse. *)
   let stranded_id =
-    Engine.fold_jobs (Shard.engine cluster 0) (fun _ ~id ~size:_ ~proc:_ -> Some id) None
+    Cluster.query cluster 0 (fun e ->
+        Engine.fold_jobs e (fun _ ~id ~size:_ ~proc:_ -> Some id) None)
     |> Option.get
   in
   (match Supervisor.remove_job sup ~id:stranded_id with
@@ -297,12 +310,14 @@ let test_degraded_mode () =
     let id = Printf.sprintf "n%d" i in
     ignore (ok (Supervisor.add_job sup ~id ~size:3));
     check_int ("new job routed to the survivor: " ^ id) 1
-      (Option.get (Shard.shard_of cluster id))
+      (Option.get (Cluster.shard_of cluster id))
   done;
-  check_bool "still consistent in degraded mode" true (Shard.check_consistency cluster ~k:8)
+  check_bool "still consistent in degraded mode" true (Cluster.check_consistency cluster ~k:8);
+  cluster
 
 let test_readmit_validation () =
-  let cluster, _ = journaled_cluster ~m:8 ~shards:2 in
+  on_executors @@ fun ~domains ->
+  let cluster, _ = journaled_cluster ~domains ~m:8 ~shards:2 in
   let sup = Supervisor.create cluster in
   (match Supervisor.readmit sup 0 (Engine.create ~m:4 ()) with
   | Ok () -> Alcotest.fail "readmit of a healthy shard must fail"
@@ -319,10 +334,12 @@ let test_readmit_validation () =
   | Ok () -> Alcotest.fail "engine with phantom jobs accepted"
   | Error _ -> ());
   ok (Supervisor.readmit sup 0 (Engine.create ~m:4 ()));
-  check health_eq "clean engine readmits" Supervisor.Recovering (Supervisor.health sup 0)
+  check health_eq "clean engine readmits" Supervisor.Recovering (Supervisor.health sup 0);
+  cluster
 
 let test_all_down_refuses () =
-  let cluster, _ = journaled_cluster ~m:8 ~shards:2 in
+  on_executors @@ fun ~domains ->
+  let cluster, _ = journaled_cluster ~domains ~m:8 ~shards:2 in
   let sup = Supervisor.create cluster in
   ignore (ok (Supervisor.add_job sup ~id:"x" ~size:5));
   ignore (Supervisor.mark_down sup 0);
@@ -332,9 +349,10 @@ let test_all_down_refuses () =
   | Ok _ -> Alcotest.fail "add with no serving shards must fail"
   | Error e -> check_bool ("refuses: " ^ e) true (String.length e > 0));
   (* The last evacuation had no survivors: the job stays stranded. *)
-  check_int "job survived as stranded" 1 (Shard.job_count cluster);
+  check_int "job survived as stranded" 1 (Cluster.job_count cluster);
   check_bool "stranded on a dead shard" true
-    ((Supervisor.stats sup).Supervisor.stranded_jobs >= 1)
+    ((Supervisor.stats sup).Supervisor.stranded_jobs >= 1);
+  cluster
 
 let () =
   Alcotest.run "rebal_supervisor"
