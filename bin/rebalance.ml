@@ -12,8 +12,8 @@ module Dist = Rebal_workloads.Dist
 module Gen = Rebal_workloads.Gen
 module Rng = Rebal_workloads.Rng
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
 module Expo = Rebal_obs.Expo
+module Optrace = Rebal_obs.Optrace
 module Journal = Rebal_obs.Journal
 module Replay = Rebal_online.Replay
 module Indexed_heap = Rebal_ds.Indexed_heap
@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.10.0"
+let version = "1.12.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -526,17 +526,21 @@ let profile_cmd =
   in
   let run algo n m k dist format out seed =
     let k = match k with Some k -> k | None -> max 1 (n / 10) in
-    Rebal_obs.Control.set_enabled true;
     let reg = Metrics.Registry.create () in
     Metrics.Registry.with_registry reg @@ fun () ->
-    Trace.reset ();
     let hc = Indexed_heap.fresh_counters () in
     Indexed_heap.install_counters hc;
     Fun.protect ~finally:Indexed_heap.remove_counters @@ fun () ->
     let rng = Rng.create seed in
     let dist = Dist.prepare dist in
     let inst = Gen.random rng ~n ~m ~dist ~cost:Gen.Unit () in
+    (* The solve runs as one sampled op, so its solver spans record
+       under the op root; the tree printed is that root's subtrees. *)
+    let saved_every = Optrace.sampling_every () in
+    Optrace.set_sample_every 1;
     let assignment =
+      Fun.protect ~finally:(fun () -> Optrace.set_sample_every saved_every) @@ fun () ->
+      Optrace.with_op ~verb:"profile" @@ fun () ->
       match algo with
       | `Greedy -> Rebal_algo.Greedy.solve inst ~k
       | `M_partition -> Rebal_algo.M_partition.solve inst ~k
@@ -551,7 +555,10 @@ let profile_cmd =
            m k
            (Assignment.makespan inst assignment)
            (Instance.initial_makespan inst));
-      List.iter (fun sp -> Buffer.add_string b (Trace.render_tree sp)) (Trace.finished ());
+      List.iter
+        (fun (op : Optrace.tree) ->
+          List.iter (fun t -> Buffer.add_string b (Optrace.render_tree t)) op.children)
+        (Optrace.assemble (Optrace.recorded ()));
       Buffer.add_char b '\n';
       Buffer.add_string b (Rebal_harness.Table.render (counter_table reg));
       (match out with
@@ -599,7 +606,6 @@ let serve_cmd =
   let module Protocol = Rebal_online.Protocol in
   let module Server = Rebal_net.Server in
   let module Http = Rebal_net.Http in
-  let module Optrace = Rebal_obs.Optrace in
   let module Tsdb = Rebal_obs.Tsdb in
   let module Alerts = Rebal_obs.Alerts in
   let procs =

@@ -1,20 +1,22 @@
 module Timer = Rebal_harness.Timer
 
-(* Cross-domain request tracing. Where [Trace] keeps a per-domain stack
-   of nested spans (right for the single-threaded solvers), protocol ops
-   cross threads and domains: a session systhread opens the op, a worker
-   domain runs the engine half, and a two-phase move touches two
-   workers. So spans here are flat records carrying explicit
-   [trace_id]/[span_id]/[parent_id] links, recorded into per-domain ring
-   buffers and stitched back into trees at exposition time — recording
-   never blocks on anything wider than one domain's ring mutex.
+(* Request tracing: every span in the process — protocol ops, the
+   cluster's mailbox hops, the engine's repair pass and the offline
+   solvers — is one of these records. Protocol ops cross threads and
+   domains: a session systhread opens the op, a worker domain runs the
+   engine half, and a two-phase move touches two workers. So spans are
+   flat records carrying explicit [trace_id]/[span_id]/[parent_id]
+   links, recorded into per-domain ring buffers and stitched back into
+   trees at exposition time — recording never blocks on anything wider
+   than one domain's ring mutex.
 
    Cost model: head sampling (1-in-N at the op boundary) decides whether
    an op's spans are recorded at all; ops slower than the tail threshold
    are additionally captured into a bounded slow-op ring whether or not
    they were sampled (an unsampled slow op keeps only its root span —
    the children were never recorded). With both knobs off, [with_op] is
-   [f ()] behind two atomic loads. *)
+   [f ()] behind two atomic loads; outside every sampled op,
+   [with_span], [current_carrier] and [add_attr] return after one. *)
 
 type span = {
   trace_id : int;
@@ -24,7 +26,7 @@ type span = {
   domain : int;  (* domain the span ran on *)
   start_ns : int64;
   mutable stop_ns : int64;
-  attrs : (string * string) list;
+  mutable attrs : (string * string) list;
 }
 
 type carrier = {
@@ -67,135 +69,139 @@ let op_counter = Atomic.make 0
 let next_trace () = Atomic.fetch_and_add trace_ids 1
 let next_span () = Atomic.fetch_and_add span_ids 1
 
-(* ----- drop accounting (same counter family as Trace) ----- *)
+(* ----- drop accounting ----- *)
 
 let count_dropped kind =
   Metrics.Counter.inc
     (Metrics.counter
-       ~help:"Trace entries overwritten because a buffer wrapped"
+       ~help:"Tracing entries overwritten because a buffer wrapped"
        ~labels:[ ("kind", kind) ] "rebal_trace_dropped_total")
 
-(* ----- per-domain span rings ----- *)
+(* ----- bounded rings ----- *)
 
-(* One ring per domain, in DLS. The mutex is not redundant: session
-   systhreads all live on the control domain and share its DLS slot, so
-   several threads record into one ring concurrently. *)
-type ring = {
-  ring_mu : Mutex.t;
-  mutable slots : span option array;
+(* Fixed capacity, oldest overwritten (and counted under [kind]). The
+   mutex is not redundant even for a per-domain ring: session
+   systhreads all live on the control domain and share its DLS slot,
+   so several threads record into one ring concurrently. *)
+type 'a ring = {
+  mu : Mutex.t;
+  kind : string;
+  mutable slots : 'a option array;
   mutable written : int;
 }
 
-let ring_key =
-  Domain.DLS.new_key (fun () ->
-      { ring_mu = Mutex.create (); slots = Array.make 4096 None; written = 0 })
+let make_ring kind n = { mu = Mutex.create (); kind; slots = Array.make n None; written = 0 }
 
+let locked r f =
+  Mutex.lock r.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock r.mu) f
+
+let resize name r n =
+  if n < 1 then invalid_arg (name ^ ": need a positive capacity");
+  locked r (fun () ->
+      r.slots <- Array.make n None;
+      r.written <- 0)
+
+let clear r =
+  locked r (fun () ->
+      Array.fill r.slots 0 (Array.length r.slots) None;
+      r.written <- 0)
+
+let push r x =
+  let dropped =
+    locked r (fun () ->
+        let slot = r.written mod Array.length r.slots in
+        let dropped = r.slots.(slot) <> None in
+        r.slots.(slot) <- Some x;
+        r.written <- r.written + 1;
+        dropped)
+  in
+  if dropped then count_dropped r.kind
+
+let contents r =
+  let buf, total = locked r (fun () -> (Array.copy r.slots, r.written)) in
+  let cap = Array.length buf in
+  let start = max 0 (total - cap) in
+  List.filter_map (fun i -> buf.(i mod cap)) (List.init (total - start) (fun j -> start + j))
+
+(* One span ring per domain, in DLS; one slow-op ring for the process. *)
+let ring_key = Domain.DLS.new_key (fun () -> make_ring "op_span" 4096)
 let ring () = Domain.DLS.get ring_key
-
-let set_ring_capacity n =
-  if n < 1 then invalid_arg "Optrace.set_ring_capacity: need a positive capacity";
-  let r = ring () in
-  Mutex.lock r.ring_mu;
-  r.slots <- Array.make n None;
-  r.written <- 0;
-  Mutex.unlock r.ring_mu
-
-let record sp =
-  let r = ring () in
-  Mutex.lock r.ring_mu;
-  let cap = Array.length r.slots in
-  let slot = r.written mod cap in
-  let dropped = r.slots.(slot) <> None in
-  r.slots.(slot) <- Some sp;
-  r.written <- r.written + 1;
-  Mutex.unlock r.ring_mu;
-  if dropped then count_dropped "op_span"
-
-let recorded () =
-  let r = ring () in
-  Mutex.lock r.ring_mu;
-  let buf = Array.copy r.slots in
-  let total = r.written in
-  Mutex.unlock r.ring_mu;
-  let cap = Array.length buf in
-  let start = max 0 (total - cap) in
-  List.filter_map (fun i -> buf.(i mod cap)) (List.init (total - start) (fun j -> start + j))
-
-(* ----- the slow-op ring (global: every domain's slow ops land here) ----- *)
-
-type slow_ring = {
-  slow_mu : Mutex.t;
-  mutable slow_slots : slow_op option array;
-  mutable slow_written : int;
-}
-
-let slow_ring =
-  { slow_mu = Mutex.create (); slow_slots = Array.make 256 None; slow_written = 0 }
-
-let set_slow_capacity n =
-  if n < 1 then invalid_arg "Optrace.set_slow_capacity: need a positive capacity";
-  Mutex.lock slow_ring.slow_mu;
-  slow_ring.slow_slots <- Array.make n None;
-  slow_ring.slow_written <- 0;
-  Mutex.unlock slow_ring.slow_mu
-
-let record_slow e =
-  Mutex.lock slow_ring.slow_mu;
-  let cap = Array.length slow_ring.slow_slots in
-  let slot = slow_ring.slow_written mod cap in
-  let dropped = slow_ring.slow_slots.(slot) <> None in
-  slow_ring.slow_slots.(slot) <- Some e;
-  slow_ring.slow_written <- slow_ring.slow_written + 1;
-  Mutex.unlock slow_ring.slow_mu;
-  if dropped then count_dropped "slow_op"
-
-let slow_ops () =
-  Mutex.lock slow_ring.slow_mu;
-  let buf = Array.copy slow_ring.slow_slots in
-  let total = slow_ring.slow_written in
-  Mutex.unlock slow_ring.slow_mu;
-  let cap = Array.length buf in
-  let start = max 0 (total - cap) in
-  List.filter_map (fun i -> buf.(i mod cap)) (List.init (total - start) (fun j -> start + j))
+let slow_ring = make_ring "slow_op" 256
+let set_ring_capacity n = resize "Optrace.set_ring_capacity" (ring ()) n
+let set_slow_capacity n = resize "Optrace.set_slow_capacity" slow_ring n
+let record sp = push (ring ()) sp
+let recorded () = contents (ring ())
+let record_slow e = push slow_ring e
+let slow_ops () = contents slow_ring
 
 (* ----- the current trace context ----- *)
 
-(* Keyed by (domain, thread), not plain DLS: session systhreads share
-   the control domain's DLS, so a domain-local "current carrier" would
+(* The innermost recorded span of each thread inside a sampled op.
+   Keyed by (domain, thread), not plain DLS: session systhreads share
+   the control domain's DLS, so a domain-local "current span" would
    leak one session's context into another. The table only ever holds
    entries for threads inside a sampled op, so it stays tiny and the
-   lock is uncontended unless tracing is busy. *)
+   lock is uncontended unless tracing is busy.
+
+   [live] counts the contexts open anywhere in the process, bumped
+   before an entry goes in and dropped after it comes out. A thread's
+   own entry is therefore always counted, so at zero the calling thread
+   has no context and every lookup answers without the lock, the key
+   tuple or the table: the path every untraced op and solver takes. *)
 let ctx_mu = Mutex.create ()
-let ctx : (int * int, carrier) Hashtbl.t = Hashtbl.create 64
+let ctx : (int * int, span) Hashtbl.t = Hashtbl.create 64
+let live = Atomic.make 0
 
 let self_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
+let current_span () =
+  if Atomic.get live = 0 then None
+  else begin
+    Mutex.lock ctx_mu;
+    let sp = Hashtbl.find_opt ctx (self_key ()) in
+    Mutex.unlock ctx_mu;
+    sp
+  end
+
 let current_carrier () =
-  Mutex.lock ctx_mu;
-  let c = Hashtbl.find_opt ctx (self_key ()) in
-  Mutex.unlock ctx_mu;
-  c
+  match current_span () with
+  | None -> None
+  | Some sp -> Some { trace = sp.trace_id; parent = sp.span_id }
+
+(* Spans are published to a ring only once closed, and only the thread
+   whose context holds a span can reach it here — so the append races
+   with nothing. *)
+let add_attr key v =
+  match current_span () with
+  | None -> ()
+  | Some sp -> sp.attrs <- sp.attrs @ [ (key, v) ]
 
 let set_ctx key v =
   Mutex.lock ctx_mu;
   (match v with
   | None -> Hashtbl.remove ctx key
-  | Some c -> Hashtbl.replace ctx key c);
+  | Some sp -> Hashtbl.replace ctx key sp);
   Mutex.unlock ctx_mu
 
-(* Run [f] with the current context set to [c], restoring on the way
-   out (removing the entry if there was none — dead threads must not
-   leave ghosts in the table). *)
-let with_ctx c f =
+(* Run [f] with [sp] as the current span, restoring on the way out
+   (removing the entry if there was none — dead threads must not leave
+   ghosts in the table). *)
+let with_ctx sp f =
   let key = self_key () in
+  Atomic.incr live;
   let saved =
     Mutex.lock ctx_mu;
     let s = Hashtbl.find_opt ctx key in
-    Hashtbl.replace ctx key c;
+    Hashtbl.replace ctx key sp;
     Mutex.unlock ctx_mu;
     s
   in
-  Fun.protect ~finally:(fun () -> set_ctx key saved) f
+  Fun.protect
+    ~finally:(fun () ->
+      set_ctx key saved;
+      Atomic.decr live)
+    f
 
 (* ----- spans ----- *)
 
@@ -207,11 +213,10 @@ let with_op ~verb f =
     let sampled = every > 0 && Atomic.fetch_and_add op_counter 1 mod every = 0 in
     let start_ns = now () in
     let trace_id = next_trace () in
-    let span_id = next_span () in
     let sp =
       {
         trace_id;
-        span_id;
+        span_id = next_span ();
         parent_id = 0;
         name = verb;
         domain = (Domain.self () :> int);
@@ -230,44 +235,39 @@ let with_op ~verb f =
         record_slow
           { slow_trace = trace_id; slow_verb = verb; slow_duration_ns = dur; slow_finished_ns = stop }
     in
-    Fun.protect ~finally:finish @@ fun () ->
-    if sampled then with_ctx { trace = trace_id; parent = span_id } f else f ()
+    Fun.protect ~finally:finish @@ fun () -> if sampled then with_ctx sp f else f ()
   end
 
+let span_under ~trace ~parent attrs name f =
+  let sp =
+    {
+      trace_id = trace;
+      span_id = next_span ();
+      parent_id = parent;
+      name;
+      domain = (Domain.self () :> int);
+      start_ns = now ();
+      stop_ns = 0L;
+      attrs;
+    }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      sp.stop_ns <- now ();
+      record sp)
+    (fun () -> with_ctx sp f)
+
 let with_span ?carrier ?(attrs = []) name f =
-  let parent = match carrier with Some _ as c -> c | None -> current_carrier () in
-  match parent with
-  | None -> f ()
-  | Some { trace; parent } ->
-    let span_id = next_span () in
-    let sp =
-      {
-        trace_id = trace;
-        span_id;
-        parent_id = parent;
-        name;
-        domain = (Domain.self () :> int);
-        start_ns = now ();
-        stop_ns = 0L;
-        attrs;
-      }
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        sp.stop_ns <- now ();
-        record sp)
-      (fun () -> with_ctx { trace; parent = span_id } f)
+  match carrier with
+  | Some { trace; parent } -> span_under ~trace ~parent attrs name f
+  | None -> (
+    match current_span () with
+    | None -> f ()
+    | Some p -> span_under ~trace:p.trace_id ~parent:p.span_id attrs name f)
 
 let reset () =
-  let r = ring () in
-  Mutex.lock r.ring_mu;
-  Array.fill r.slots 0 (Array.length r.slots) None;
-  r.written <- 0;
-  Mutex.unlock r.ring_mu;
-  Mutex.lock slow_ring.slow_mu;
-  Array.fill slow_ring.slow_slots 0 (Array.length slow_ring.slow_slots) None;
-  slow_ring.slow_written <- 0;
-  Mutex.unlock slow_ring.slow_mu;
+  clear (ring ());
+  clear slow_ring;
   Atomic.set op_counter 0
 
 (* ----- assembly: flat records back into causal trees ----- *)

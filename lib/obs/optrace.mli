@@ -1,13 +1,16 @@
-(** Cross-domain request tracing with head sampling and tail capture.
-
-    {!Trace} records a stack of nested spans per domain — right for the
-    single-threaded solvers, useless for a protocol op whose work hops
-    from a session thread over a mailbox to a worker domain (or two, for
-    a cross-shard move). Spans here are {e flat records} with explicit
-    [trace_id]/[span_id]/[parent_id] links: each domain records into its
-    own bounded ring, a {!carrier} travels inside mailbox envelopes to
-    link worker-side spans to the originating op, and {!assemble}
-    stitches the flat records back into causal trees at exposition time.
+(** Request tracing with head sampling and tail capture — the one span
+    model: protocol ops, the cluster's mailbox hops, the engine's repair
+    pass ([engine.repair]) and the offline solvers ([greedy.*],
+    [m_partition.*], [simulation.run]) all record here. A protocol op's
+    work hops from a session thread over a mailbox to a worker domain
+    (or two, for a cross-shard move), so spans are {e flat records} with
+    explicit [trace_id]/[span_id]/[parent_id] links: each domain records
+    into its own bounded ring, a {!carrier} travels inside mailbox
+    envelopes to link worker-side spans to the originating op, and
+    {!assemble} stitches the flat records back into causal trees at
+    exposition time. A span records only inside a sampled op — a solver
+    run outside any op records nothing; [rebalance profile] wraps its
+    solve in a sampled op to see the tree.
 
     {b Sampling.} {!with_op} opens a trace at the op boundary. With head
     sampling at 1-in-N ({!set_sample_every}), every Nth op records its
@@ -15,8 +18,13 @@
     ({!set_slow_threshold_ns}) land in a bounded slow-op ring whether or
     not they were sampled — an unsampled slow op keeps only its root
     span, since the children were never recorded. With both knobs off
-    (the default) [with_op] is [f ()] behind two atomic loads, and
-    {!with_span} is [f ()] behind a context lookup that answers [None].
+    (the default) [with_op] is [f ()] behind two atomic loads.
+
+    {b Zero-context fast path.} A process-wide atomic counts the span
+    contexts open on any thread. While it reads zero — no sampled op in
+    flight anywhere — {!with_span}, {!current_carrier} and {!add_attr}
+    return after that one load: no lock, no allocation. Otherwise they
+    look the calling thread up in the context table.
 
     {b Concurrency contract.} Span rings are per-domain (mutex-guarded,
     because session systhreads share the control domain's ring); the
@@ -35,7 +43,7 @@ type span = {
   domain : int;  (** domain the span ran on *)
   start_ns : int64;
   mutable stop_ns : int64;
-  attrs : (string * string) list;
+  mutable attrs : (string * string) list;  (** appended to by {!add_attr} *)
 }
 
 type carrier = {
@@ -100,6 +108,12 @@ val with_span :
 val current_carrier : unit -> carrier option
 (** The calling thread's context, to be captured into an envelope at
     the send site. [None] unless inside a sampled op. *)
+
+val add_attr : string -> string -> unit
+(** Append an attribute to the calling thread's innermost recorded span
+    (the op root or the innermost {!with_span}) — for values known only
+    once the work is done, such as a repair's move count. A no-op
+    outside a sampled op. *)
 
 (** {2 Collection and assembly} *)
 

@@ -256,20 +256,31 @@ let post t w env =
   Metrics.Histogram.observe_ns t.send_block.(w) (Int64.sub (Timer.now_ns ()) t0);
   if not accepted then raise Shut_down
 
+(* The inline executor: [f] runs right here on the calling thread. A
+   traced op still gets the [shard.<label>] span a worker would have
+   opened, so TRACES shows the same tree at D=0; untraced, this is a
+   plain call. *)
+let call_inline ~label t s f =
+  if t.stopped then raise Shut_down;
+  match Optrace.current_carrier () with
+  | None -> f t.engines.(s)
+  | Some carrier ->
+    Optrace.with_span ~carrier ~attrs:[ ("shard", string_of_int s) ] ("shard." ^ label)
+      (fun () -> f t.engines.(s))
+
 (* Start [f] on shard [s]'s engine and return the wait for its outcome.
    Inline, [f] runs right here and the wait is already answered; with
    workers it is posted to [s]'s owner and the wait parks on a reply
    cell. Tasks never raise out of a worker (that would kill the domain
    and strand every later sender): exceptions are carried back as the
    outcome, and {!get} re-raises them on the calling thread exactly as
-   the inline path would. [label] names the worker-side span when the
+   the inline path would. [label] names the shard-side span when the
    calling op is being traced; a fan-out looks its [carrier] up once.
    @raise Shut_down if the cluster has shut down. *)
 let submit ?(label = "task") ?carrier t s f =
   let task e = match f e with v -> Ok v | exception e -> Error e in
   if inline t then begin
-    if t.stopped then raise Shut_down;
-    let r = task t.engines.(s) in
+    let r = call_inline ~label t s task in
     fun () -> r
   end
   else begin
@@ -287,34 +298,41 @@ let submit ?(label = "task") ?carrier t s f =
 
 let get = function Ok v -> v | Error e -> raise e
 
+(* Reply-wait timestamps as plain ints: a fan-out's running [last]
+   is then updated without boxing an int64 per reply. *)
+let now_int () = Int64.to_int (Timer.now_ns ())
+
+(* Park on shard [s]'s reply and charge the time since [last] — the
+   previous reply, or the clock read just before the first wait — to
+   [s]'s reply-wait histogram, so the histograms sum to the caller's
+   whole park time however many replies it awaits. Worker executor
+   only: inline waits are already answered and read no clock. *)
+let await t last s wait =
+  let r = wait () in
+  let now = now_int () in
+  Metrics.Histogram.observe t.reply_wait.(s) (float_of_int (now - !last) *. 1e-9);
+  last := now;
+  r
+
 (* Run [f] on shard [s]'s engine and wait for the result. Inline this
    is a plain call. *)
-let run ?label t s f =
-  if inline t then begin
-    if t.stopped then raise Shut_down;
-    f t.engines.(s)
-  end
+let run ?(label = "task") t s f =
+  if inline t then call_inline ~label t s f
   else begin
-    let wait = submit ?label t s f in
-    let t0 = Timer.now_ns () in
-    let r = wait () in
-    Metrics.Histogram.observe_ns t.reply_wait.(s) (Int64.sub (Timer.now_ns ()) t0);
-    get r
+    let wait = submit ~label t s f in
+    get (await t (ref (now_int ())) s wait)
   end
 
 (* Fan [f] out to every shard — with workers all tasks are submitted
    before any reply is awaited, so independent shards genuinely
    overlap. *)
-let run_all ?label t f =
-  if inline t then begin
-    if t.stopped then raise Shut_down;
-    Array.mapi f t.engines
-  end
+let run_all ?(label = "task") t f =
+  if inline t then Array.mapi (fun s _ -> call_inline ~label t s (f s)) t.engines
   else begin
     let carrier = Optrace.current_carrier () in
-    Array.map
-      (fun wait -> get (wait ()))
-      (Array.mapi (fun s _ -> submit ?label ~carrier t s (f s)) t.engines)
+    let waits = Array.mapi (fun s _ -> submit ~label ~carrier t s (f s)) t.engines in
+    let last = ref (now_int ()) in
+    Array.mapi (fun s wait -> get (await t last s wait)) waits
   end
 
 (* Run [f] once on every worker domain (not per shard — with fewer
@@ -674,9 +692,10 @@ let apply_bulk t ?on_result ops =
        reservation — success or failure, no id is left in a transient
        state. *)
     let failure = ref None in
+    let last = ref (if inline t then 0 else now_int ()) in
     List.iter
       (fun (s, idx, sub_results, wait) ->
-        let outcome = wait () in
+        let outcome = if inline t then wait () else await t last s wait in
         Array.iteri
           (fun j i ->
             let rolled_back, res =

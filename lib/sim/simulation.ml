@@ -3,7 +3,7 @@ module Assignment = Rebal_core.Assignment
 module Verify = Rebal_core.Verify
 module Stats = Rebal_harness.Stats
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
+module Optrace = Rebal_obs.Optrace
 module Control = Rebal_obs.Control
 module Journal = Rebal_obs.Journal
 module Timer = Rebal_harness.Timer
@@ -108,13 +108,13 @@ let run ?(fault = Fault.none) ?(recovery_threshold = 1.5) ?journal traffic
   let m_failed_moves = metric_moves policy "failed" in
   let m_emergency_moves = metric_moves policy "emergency" in
   let m_latency = metric_policy_latency policy in
-  Trace.with_span "simulation.run"
+  Optrace.with_span "simulation.run"
     ~attrs:
       [
-        ("policy", Trace.Str (Policy.name policy));
-        ("servers", Trace.Int servers);
-        ("sites", Trace.Int sites);
-        ("horizon", Trace.Int horizon);
+        ("policy", Policy.name policy);
+        ("servers", string_of_int servers);
+        ("sites", string_of_int sites);
+        ("horizon", string_of_int horizon);
       ]
   @@ fun () ->
   let live_at time = Array.init servers (fun s -> Fault.is_live fault ~server:s ~time) in
@@ -310,8 +310,8 @@ let run ?(fault = Fault.none) ?(recovery_threshold = 1.5) ?journal traffic
         end)
       crash_times
   in
-  Trace.add_attr "moves" (Trace.Int !total_moves);
-  Trace.add_attr "emergency" (Trace.Int !total_emergency);
+  Optrace.add_attr "moves" (string_of_int !total_moves);
+  Optrace.add_attr "emergency" (string_of_int !total_emergency);
   {
     steps;
     total_moves = !total_moves;

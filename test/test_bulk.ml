@@ -21,6 +21,7 @@
 
 module Engine = Rebal_online.Engine
 module Cluster = Rebal_online.Cluster
+module Metrics = Rebal_obs.Metrics
 module Protocol = Rebal_online.Protocol
 module Journal = Rebal_obs.Journal
 module Lineio = Rebal_net.Lineio
@@ -372,6 +373,50 @@ let test_cluster_bulk_equivalence () =
   check_int "makespan" mk_a mk_b;
   check_int "job count" jc_a jc_b
 
+(* With workers, every awaited reply is charged to its shard's
+   rebal_reply_wait_seconds — fan-outs and bulk dispatch included, not
+   only single-shard runs. The inline executor reads no clock and
+   registers no such series. *)
+let test_reply_wait_observed () =
+  let shards = 4 in
+  let counts reg =
+    List.filter_map
+      (fun (m : Metrics.metric) ->
+        match m.kind with
+        | Metrics.Histogram h when m.name = "rebal_reply_wait_seconds" ->
+          Some (int_of_string (List.assoc "shard" m.labels), Metrics.Histogram.observations h)
+        | _ -> None)
+      (Metrics.Registry.metrics reg)
+  in
+  let count reg s = Option.value ~default:0 (List.assoc_opt s (counts reg)) in
+  let run domains =
+    let reg = Metrics.Registry.create () in
+    Metrics.Registry.with_registry reg @@ fun () ->
+    let c = Cluster.create ~m:8 ~shards ~domains () in
+    Fun.protect ~finally:(fun () -> Cluster.shutdown c) @@ fun () ->
+    let ids = List.init 40 (Printf.sprintf "j%d") in
+    Cluster.apply_bulk c
+      (Array.of_list (List.map (fun id -> Engine.Add { id; size = 3 }) ids));
+    let involved = List.sort_uniq compare (List.filter_map (Cluster.shard_of c) ids) in
+    let after_bulk = List.init shards (count reg) in
+    ignore (Cluster.makespan c);
+    (reg, involved, after_bulk, List.init shards (count reg))
+  in
+  let reg, involved, after_bulk, after_makespan = run 1 in
+  check_bool "jobs spread over several shards" true (List.length involved > 1);
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "apply_bulk observed shard %d" s) true
+        (List.nth after_bulk s > 0))
+    involved;
+  List.iteri
+    (fun s n -> check_bool (Printf.sprintf "makespan observed shard %d" s) true
+        (n > List.nth after_bulk s))
+    after_makespan;
+  check_int "one series per shard" shards (List.length (counts reg));
+  let reg0, _, _, after0 = run 0 in
+  check_int "inline: no observations" 0 (List.fold_left ( + ) 0 after0);
+  check_int "inline: no series" 0 (List.length (counts reg0))
+
 (* ----- Protocol.handle_lines ----- *)
 
 let script =
@@ -596,6 +641,7 @@ let () =
               test_bulk_rejects_mixed_validity_correctly;
             Alcotest.test_case "cluster bulk equivalence" `Quick
               test_cluster_bulk_equivalence;
+            Alcotest.test_case "reply wait observed" `Quick test_reply_wait_observed;
           ] );
       ( "handle-lines",
         [

@@ -1,12 +1,11 @@
 (* Tests for the observability layer: metric identity and registry
    scoping, histogram bucketing (property-based), registry merging,
    Prometheus exposition round-tripped through a line parser, span-tree
-   nesting, the ring-buffer event log, and the flight-recorder journal
-   codec (render/parse round trip, corruption rejection, tail ring). *)
+   nesting and the span ring, and the flight-recorder journal codec
+   (render/parse round trip, corruption rejection, tail ring). *)
 
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
-module Control = Rebal_obs.Control
+module Optrace = Rebal_obs.Optrace
 module Expo = Rebal_obs.Expo
 module Journal = Rebal_obs.Journal
 open QCheck2
@@ -230,83 +229,111 @@ let test_json_renders () =
 
 (* ----- span tracing ----- *)
 
+(* Spans record only inside a sampled op, so every span test runs in
+   this bracket: sample every op, start from empty rings, and leave the
+   process-global knobs as found. *)
+let sampled f =
+  Optrace.reset ();
+  Optrace.set_sample_every 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Optrace.set_sample_every 0;
+      Optrace.reset ())
+    f
+
+let op_trees () = Optrace.assemble (Optrace.recorded ())
+let names = List.map (fun (t : Optrace.tree) -> t.span.Optrace.name)
+
 let test_span_nesting () =
-  Control.with_enabled true @@ fun () ->
-  Trace.reset ();
+  sampled @@ fun () ->
   let result =
-    Trace.with_span "root" ~attrs:[ ("n", Trace.Int 3) ] (fun () ->
-        Trace.with_span "first" (fun () -> Trace.add_attr "hit" (Trace.Bool true));
-        Trace.with_span "second" (fun () -> ());
+    Optrace.with_op ~verb:"root" (fun () ->
+        Optrace.add_attr "n" "3";
+        Optrace.with_span "first" (fun () -> Optrace.add_attr "hit" "true");
+        Optrace.with_span "second" (fun () -> ());
         17)
   in
-  Alcotest.(check int) "with_span returns f's value" 17 result;
-  match Trace.finished () with
+  Alcotest.(check int) "with_op returns f's value" 17 result;
+  match op_trees () with
   | [ root ] ->
-    Alcotest.(check string) "root name" "root" (Trace.name root);
+    Alcotest.(check string) "root name" "root" root.span.name;
     Alcotest.(check (list string)) "children in start order" [ "first"; "second" ]
-      (List.map Trace.name (Trace.children root));
-    Alcotest.(check bool) "root attr kept" true
-      (List.mem_assoc "n" (Trace.attrs root));
-    let first = List.hd (Trace.children root) in
-    Alcotest.(check bool) "child attr attached to child" true
-      (List.mem_assoc "hit" (Trace.attrs first));
+      (names root.children);
+    Alcotest.(check (list (pair string string))) "root attr kept" [ ("n", "3") ]
+      root.span.attrs;
+    let first = List.hd root.children in
+    Alcotest.(check (list (pair string string))) "child attr attached to child"
+      [ ("hit", "true") ] first.span.attrs;
     Alcotest.(check bool) "durations non-negative" true
-      (Trace.duration_ns root >= 0L);
+      (Optrace.duration_ns root.span >= 0L);
     Alcotest.(check bool) "root at least as long as children" true
-      (Trace.duration_ns root
-      >= List.fold_left (fun acc sp -> Int64.add acc (Trace.duration_ns sp)) 0L
-           (Trace.children root))
-  | spans -> Alcotest.failf "expected exactly one root, got %d" (List.length spans)
+      (Optrace.duration_ns root.span
+      >= List.fold_left
+           (fun acc (c : Optrace.tree) -> Int64.add acc (Optrace.duration_ns c.span))
+           0L root.children)
+  | trees -> Alcotest.failf "expected exactly one root, got %d" (List.length trees)
 
 let test_span_disabled_is_noop () =
-  Control.with_enabled false @@ fun () ->
-  Trace.reset ();
-  let r = Trace.with_span "invisible" (fun () -> 5) in
+  Optrace.reset ();
+  let r =
+    Optrace.with_op ~verb:"unsampled" (fun () ->
+        Optrace.with_span "invisible" (fun () ->
+            Optrace.add_attr "lost" "yes";
+            5))
+  in
   Alcotest.(check int) "value passes through" 5 r;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.finished ()))
+  Alcotest.(check bool) "no context outside a sampled op" true
+    (Optrace.current_carrier () = None);
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Optrace.recorded ()))
 
 let test_span_survives_exception () =
-  Control.with_enabled true @@ fun () ->
-  Trace.reset ();
-  (try Trace.with_span "boom" (fun () -> failwith "expected") with Failure _ -> ());
-  match Trace.finished () with
-  | [ sp ] -> Alcotest.(check string) "span closed on raise" "boom" (Trace.name sp)
+  sampled @@ fun () ->
+  (try
+     Optrace.with_op ~verb:"op" (fun () ->
+         Optrace.with_span "boom" (fun () -> failwith "expected"))
+   with Failure _ -> ());
+  Alcotest.(check bool) "context dropped on raise" true (Optrace.current_carrier () = None);
+  match op_trees () with
+  | [ { span = { name = "op"; _ }; children = [ boom ] } ] ->
+    Alcotest.(check string) "span closed on raise" "boom" boom.span.name;
+    Alcotest.(check bool) "stop stamped" true (boom.span.stop_ns >= boom.span.start_ns)
   | _ -> Alcotest.fail "span not recorded after exception"
 
+let with_ring_capacity n f =
+  Optrace.set_ring_capacity n;
+  Fun.protect ~finally:(fun () -> Optrace.set_ring_capacity 4096) f
+
 let test_ring_buffer_wrap () =
-  Control.with_enabled true @@ fun () ->
-  Trace.set_ring_capacity 4;
-  Fun.protect ~finally:(fun () -> Trace.set_ring_capacity 1024) @@ fun () ->
+  sampled @@ fun () ->
+  with_ring_capacity 4 @@ fun () ->
   for i = 0 to 5 do
-    Trace.event (Printf.sprintf "e%d" i)
+    Optrace.with_op ~verb:(Printf.sprintf "e%d" i) ignore
   done;
-  let names = List.map (fun e -> e.Trace.event_name) (Trace.events ()) in
   Alcotest.(check (list string)) "keeps newest, oldest first" [ "e2"; "e3"; "e4"; "e5" ]
-    names
+    (List.map (fun (sp : Optrace.span) -> sp.name) (Optrace.recorded ()))
 
 let test_trace_dropped_counter () =
   (* Scoped registry: the wrap counter increments into whatever registry
      is current at overwrite time. *)
   let reg = Metrics.Registry.create () in
   Metrics.Registry.with_registry reg @@ fun () ->
-  Control.with_enabled true @@ fun () ->
-  Trace.set_ring_capacity 4;
-  Fun.protect ~finally:(fun () -> Trace.set_ring_capacity 1024) @@ fun () ->
+  sampled @@ fun () ->
+  with_ring_capacity 4 @@ fun () ->
   for i = 0 to 9 do
-    Trace.event (Printf.sprintf "d%d" i)
+    Optrace.with_op ~verb:(Printf.sprintf "d%d" i) ignore
   done;
   let dropped =
     match
       List.find_opt
         (fun (m : Metrics.metric) ->
           m.Metrics.name = "rebal_trace_dropped_total"
-          && m.Metrics.labels = [ ("kind", "event") ])
+          && m.Metrics.labels = [ ("kind", "op_span") ])
         (Metrics.Registry.metrics reg)
     with
     | Some { Metrics.kind = Metrics.Counter c; _ } -> Metrics.Counter.value c
     | _ -> 0
   in
-  (* 10 events into a 4-slot ring: 6 overwrites. *)
+  (* 10 op roots into a 4-slot ring: 6 overwrites. *)
   Alcotest.(check int) "overwrites counted" 6 dropped
 
 (* ----- the flight-recorder journal codec ----- *)
@@ -435,12 +462,11 @@ let test_json_value_round_trip () =
 (* ----- render tree ----- *)
 
 let test_render_tree () =
-  Control.with_enabled true @@ fun () ->
-  Trace.reset ();
-  Trace.with_span "outer" (fun () -> Trace.with_span "inner" (fun () -> ()));
-  match Trace.finished () with
+  sampled @@ fun () ->
+  Optrace.with_op ~verb:"outer" (fun () -> Optrace.with_span "inner" ignore);
+  match op_trees () with
   | [ root ] ->
-    let out = Trace.render_tree root in
+    let out = Optrace.render_tree root in
     let lines = String.split_on_char '\n' out |> List.filter (fun l -> l <> "") in
     (match lines with
     | [ l1; l2 ] ->

@@ -130,6 +130,76 @@ let prop_trees_well_formed =
           true)
         [ 1; 2; 8 ])
 
+(* ----- engine spans join the op tree ----- *)
+
+(* The repair pass is an Optrace span like any other: a sampled
+   REBALANCE shows each shard's engine.repair (with its budget, trigger
+   and move count) under that shard's span, on either executor. An
+   unsampled one records nothing at all. *)
+let test_repair_in_op_tree () =
+  List.iter
+    (fun domains ->
+      let rebalance_op sample =
+        with_tracing ~sample ~slow_ns:(-1) @@ fun () ->
+        let c = Cluster.create ~m:8 ~shards:2 ~domains () in
+        Fun.protect ~finally:(fun () -> Cluster.shutdown c) @@ fun () ->
+        for i = 1 to 12 do
+          ignore (Cluster.add_job c ~id:(Printf.sprintf "h%d" i) ~size:(i * 9))
+        done;
+        Optrace.reset ();
+        ignore (Optrace.with_op ~verb:"REBALANCE" (fun () -> Cluster.rebalance c ~k:3));
+        Optrace.recorded () @ Cluster.recorded_spans c
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "D=%d unsampled records nothing" domains)
+        0
+        (List.length (rebalance_op 0));
+      let trees = Optrace.assemble (rebalance_op 1) in
+      let rec walk parent acc (t : Optrace.tree) =
+        let acc = if t.span.name = "engine.repair" then (parent, t.span) :: acc else acc in
+        List.fold_left (walk (Some t.span.name)) acc t.children
+      in
+      let repairs = List.fold_left (walk None) [] trees in
+      Alcotest.(check int) (Printf.sprintf "D=%d one repair per shard" domains) 2
+        (List.length repairs);
+      List.iter
+        (fun (parent, (sp : Optrace.span)) ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "D=%d parented under the shard span" domains)
+            (Some "shard.rebalance") parent;
+          Alcotest.(check (list string))
+            (Printf.sprintf "D=%d repair attributes" domains)
+            [ "k"; "auto"; "moves" ] (List.map fst sp.attrs);
+          Alcotest.(check string) "budget" "3" (List.assoc "k" sp.attrs);
+          Alcotest.(check string) "explicit" "false" (List.assoc "auto" sp.attrs))
+        repairs)
+    [ 0; 2 ]
+
+(* ----- the unsampled path allocates nothing ----- *)
+
+(* Outside every sampled op the span entry points answer from one
+   atomic load. Counted as E24 counts the engine: [Gc.minor_words]
+   boxes a float, so an empty probe is measured first and subtracted. *)
+let test_unsampled_allocates_nothing () =
+  with_tracing ~sample:0 ~slow_ns:(-1) @@ fun () ->
+  let body () = () in
+  let calls () =
+    for _ = 1 to 10_000 do
+      Optrace.with_span "unsampled" body;
+      ignore (Optrace.current_carrier ());
+      Optrace.add_attr "k" "v"
+    done
+  in
+  calls ();
+  let calib =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
+  in
+  let before = Gc.minor_words () in
+  calls ();
+  let words = Gc.minor_words () -. before -. calib in
+  Alcotest.(check (float 0.0)) "minor words over 10k calls" 0.0 words
+
 (* ----- the slow-op ring's retention contract ----- *)
 
 (* Durations driven through the injected clock: exactly the ops at or
@@ -239,6 +309,9 @@ let () =
           Alcotest.test_case "cross-shard move tree" `Quick test_move_tree;
           Alcotest.test_case "orphan promotion" `Quick test_orphan_promotion;
           QCheck_alcotest.to_alcotest prop_trees_well_formed;
+          Alcotest.test_case "repair under shard span" `Quick test_repair_in_op_tree;
+          Alcotest.test_case "unsampled allocates nothing" `Quick
+            test_unsampled_allocates_nothing;
         ] );
       ("slow ring", [ QCheck_alcotest.to_alcotest prop_slow_ring_retention ]);
       ( "http",
