@@ -1172,146 +1172,51 @@ let e19 () =
   if factor < 10.0 then failwith "E19: snapshot recovery below the 10x acceptance floor";
   Some factor
 
+(* E20–E23 run the drills of [Rebal_drill.Drill]; every run ends with
+   its journal audit. *)
+let audited name drill =
+  match Rebal_drill.Drill.audit drill with Ok events -> events | Error e -> failwith (name ^ ": " ^ e)
+
 (* ---------------------------------------------------------------------- *)
 (* E20 — failover cost: downtime-weighted makespan under shard kills.     *)
 (* ---------------------------------------------------------------------- *)
 
 let e20 () =
   header "E20: self-healing failover (supervised cluster under shard kills)";
-  let module Engine = Rebal_online.Engine in
-  let module Cluster = Rebal_online.Cluster in
+  let module Drill = Rebal_drill.Drill in
   let module Supervisor = Rebal_online.Supervisor in
-  let module Replay = Rebal_online.Replay in
   let shards = 8 and m = 32 in
   let horizon = 400 and ops_per_step = 8 in
   let kills = [ (2, 100); (5, 200) ] and down_for = 80 in
-  (* One driver, two schedules: the identical seeded workload runs once
-     with no faults and once with two mid-stream shard kills (each down
-     for 80 steps, evacuated, restored from its own journal, readmitted
-     and re-weighted). Scoring weights each step's makespan by
-     1 + (shards - serving), so downtime is charged on top of whatever
-     load imbalance the failover caused. *)
+  (* chaos-serve's failover drill, two schedules: the identical seeded
+     workload runs once with no faults and once with two mid-stream
+     shard kills (each down for 80 steps, evacuated, restored from its
+     own journal, readmitted and re-weighted). Scoring weights each
+     step's makespan by 1 + (shards - serving), so downtime is charged
+     on top of whatever load imbalance the failover caused. Both runs
+     must pass the drill's model audit and its journal audit. *)
   let drive ~faults () =
     let live i t =
       (not faults)
       || not (List.exists (fun (s, st) -> s = i && t >= st && t < st + down_for) kills)
     in
-    let buffers = Array.init shards (fun _ -> Buffer.create 4096) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i ->
-          Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~domains:0 ~m ~shards ()
+    let drill = Drill.create ~domains:0 ~m ~shards () in
+    let r =
+      Drill.failover drill ~live ~seed:120 ~prefix:"f" ~horizon ~ops_per_step ~period:10 ~k:16 ()
     in
-    let time = ref 0 in
-    let config =
-      {
-        Supervisor.default_config with
-        Supervisor.suspect_after = 1;
-        down_after = 2;
-        recovery_steps = 4;
-      }
-    in
-    let sup = Supervisor.create ~config ~probe:(fun i -> live i !time) cluster in
-    let model = Hashtbl.create 1024 in
-    let rng = Rng.create 120 in
-    let live_ids = ref (Array.make 1024 "") in
-    let count = ref 0 in
-    let push id =
-      if !count = Array.length !live_ids then begin
-        let bigger = Array.make (2 * Array.length !live_ids) "" in
-        Array.blit !live_ids 0 bigger 0 !count;
-        live_ids := bigger
-      end;
-      !live_ids.(!count) <- id;
-      incr count
-    in
-    let next = ref 0 in
-    let recovered = ref 0 in
-    let dw = ref 0.0 in
-    for t = 0 to horizon - 1 do
-      time := t;
-      ignore (Supervisor.tick sup);
-      for i = 0 to shards - 1 do
-        if Supervisor.health sup i = Supervisor.Down && live i t then begin
-          match
-            Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume
-          with
-          | Error e -> failwith (pf "E20: shard %d restore failed: %s" i e)
-          | Ok (eng, outcome) ->
-            Engine.set_journal eng
-              (Some
-                 (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-                    ~write:(Buffer.add_string buffers.(i)) ()));
-            (match Supervisor.readmit sup i eng with
-            | Ok () -> incr recovered
-            | Error e -> failwith (pf "E20: shard %d readmission rejected: %s" i e))
-        end
-      done;
-      for _ = 1 to ops_per_step do
-        let r = Rng.float rng 1.0 in
-        if r < 0.6 || !count = 0 then begin
-          let id = pf "f%d" !next in
-          incr next;
-          let size = Rng.int_range rng 1 100 in
-          match Supervisor.add_job sup ~id ~size with
-          | Ok _ ->
-            Hashtbl.replace model id size;
-            push id
-          | Error e -> failwith ("E20: add rejected: " ^ e)
-        end
-        else begin
-          let j = Rng.int rng !count in
-          let id = !live_ids.(j) in
-          if r < 0.85 then (
-            match Supervisor.remove_job sup ~id with
-            | Ok _ ->
-              Hashtbl.remove model id;
-              !live_ids.(j) <- !live_ids.(!count - 1);
-              decr count
-            | Error e -> failwith ("E20: remove rejected: " ^ e))
-          else begin
-            let size = Rng.int_range rng 1 100 in
-            match Supervisor.resize_job sup ~id ~size with
-            | Ok _ -> Hashtbl.replace model id size
-            | Error e -> failwith ("E20: resize rejected: " ^ e)
-          end
-        end
-      done;
-      if (t + 1) mod 10 = 0 then ignore (Supervisor.rebalance sup ~k:16);
-      let serving = Supervisor.serving_shards sup in
-      dw :=
-        !dw +. (float_of_int (Cluster.makespan cluster) *. float_of_int (1 + shards - serving))
-    done;
-    (* Audit: nothing lost, every journal still replays to the live state. *)
-    Hashtbl.iter
-      (fun id size ->
-        match Cluster.find cluster id with
-        | Some (sz, _) when sz = size -> ()
-        | _ -> failwith (pf "E20: job %s lost or corrupted" id))
-      model;
-    if Cluster.job_count cluster <> Hashtbl.length model then
-      failwith "E20: stray or duplicated jobs after failover";
-    if not (Cluster.check_consistency cluster ~k:16) then
-      failwith "E20: cluster consistency check failed";
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.resume with
-        | Error e -> failwith (pf "E20: shard %d journal replay: %s" i e)
-        | Ok (eng, _) ->
-          if
-            Engine.job_count eng <> Engine.job_count (Cluster.engine cluster i)
-            || Engine.makespan eng <> Engine.makespan (Cluster.engine cluster i)
-          then failwith (pf "E20: shard %d journal replay diverges" i))
-      buffers;
-    (!dw, !recovered, Supervisor.stats sup)
+    if r.Drill.rejected > 0 then failwith (pf "E20: %d ops rejected" r.Drill.rejected);
+    if r.Drill.failures <> [] then failwith ("E20: " ^ String.concat "; " r.Drill.failures);
+    ignore (audited "E20" drill);
+    (r.Drill.downtime_weighted, r.Drill.stats)
   in
   Gc.compact ();
-  let (dw_base, _, _), dt_base = Timer.time (fun () -> drive ~faults:false ()) in
+  let (dw_base, _), dt_base = Timer.time (fun () -> drive ~faults:false ()) in
   Gc.compact ();
-  let (dw_fault, recovered, h), dt_fault = Timer.time (fun () -> drive ~faults:true ()) in
-  if recovered <> List.length kills then
-    failwith (pf "E20: only %d of %d killed shards were readmitted" recovered (List.length kills));
+  let (dw_fault, h), dt_fault = Timer.time (fun () -> drive ~faults:true ()) in
+  if h.Supervisor.readmissions <> List.length kills then
+    failwith
+      (pf "E20: only %d of %d killed shards were readmitted" h.Supervisor.readmissions
+         (List.length kills));
   let ratio = dw_fault /. dw_base in
   let t =
     Table.create
@@ -1344,104 +1249,19 @@ let e20 () =
 
 let e21 () =
   header "E21: parallel serving throughput (domain-per-shard cluster, 1024 sessions)";
-  let module Engine = Rebal_online.Engine in
+  let module Drill = Rebal_drill.Drill in
   let module Cluster = Rebal_online.Cluster in
-  let module Replay = Rebal_online.Replay in
   let shards = 8 and m = 32 in
   let driver_threads = 8 and sessions_per_thread = 128 in
   let ops_per_thread = 3_000 in
   let total_sessions = driver_threads * sessions_per_thread in
   let total_ops = driver_threads * ops_per_thread in
-  (* One driver, parameterized by worker domain count: 1024 logical
-     loadgen sessions multiplexed over 8 client threads submit the
-     60/25/15 add/remove/resize mix straight into the cluster (the same
-     closures the TCP sessions run, minus the sockets). Every op is
-     timed; every run is audited the same way the serve daemon is —
-     nothing lost, directory consistent, and each shard's journal
-     replays to exactly the engine its worker domain left behind. *)
-  let drive ~domains () =
-    let buffers = Array.init shards (fun _ -> Buffer.create 65536) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i ->
-          Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m ~shards ~domains ()
-    in
-    let survivors = Array.make driver_threads 0 in
-    let latencies = Array.make total_ops 0.0 in
-    let driver t () =
-      let rng = Rng.create (4242 + t) in
-      (* Per-session state: a private id universe, so every command is
-         semantically valid and an error is a cluster bug, not noise. *)
-      let live = Array.make sessions_per_thread [] in
-      let next = Array.make sessions_per_thread 0 in
-      let n = ref 0 in
-      for i = 0 to ops_per_thread - 1 do
-        let s = i mod sessions_per_thread in
-        let started = Timer.now_ns () in
-        (match Rng.float rng 1.0 with
-        | r when r < 0.6 || live.(s) = [] ->
-          let id = pf "t%ds%d.%d" t s next.(s) in
-          next.(s) <- next.(s) + 1;
-          (match Cluster.add_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-          | Ok _ ->
-            live.(s) <- id :: live.(s);
-            incr n
-          | Error e -> failwith ("E21: add rejected: " ^ e))
-        | r when r < 0.85 -> (
-          match live.(s) with
-          | [] -> assert false
-          | id :: rest -> (
-            match Cluster.remove_job cluster ~id with
-            | Ok _ ->
-              live.(s) <- rest;
-              decr n
-            | Error e -> failwith ("E21: remove rejected: " ^ e)))
-        | _ -> (
-          let id = List.hd live.(s) in
-          match Cluster.resize_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-          | Ok _ -> ()
-          | Error e -> failwith ("E21: resize rejected: " ^ e)));
-        latencies.((t * ops_per_thread) + i) <-
-          Int64.to_float (Int64.sub (Timer.now_ns ()) started) /. 1e9;
-        if t = 0 && (i + 1) mod 500 = 0 then ignore (Cluster.rebalance cluster ~k:8)
-      done;
-      survivors.(t) <- !n
-    in
-    Gc.compact ();
-    let (), wall =
-      Timer.time (fun () ->
-          let ts = Array.init driver_threads (fun t -> Thread.create (driver t) ()) in
-          Array.iter Thread.join ts)
-    in
-    (* Audit before scoring: the speed is worthless if the state is wrong. *)
-    if Cluster.job_count cluster <> Array.fold_left ( + ) 0 survivors then
-      failwith "E21: jobs lost or duplicated under concurrency";
-    if not (Cluster.check_consistency cluster ~k:max_int) then
-      failwith "E21: directory/engine consistency check failed";
-    let makespan = Cluster.makespan cluster in
-    Cluster.merge_metrics cluster ~into:(Metrics.Registry.current ());
-    Cluster.shutdown cluster;
-    let journal_events = ref 0 in
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.run with
-        | Error e -> failwith (pf "E21: shard %d journal replay: %s" i e)
-        | Ok o ->
-          journal_events := !journal_events + o.Replay.events;
-          let eng = Cluster.engine cluster i in
-          if
-            (not o.Replay.consistency_ok)
-            || o.Replay.final_jobs <> Engine.job_count eng
-            || o.Replay.final_makespan <> Engine.makespan eng
-          then failwith (pf "E21: shard %d journal replay diverges" i))
-      buffers;
-    Array.sort compare latencies;
-    let pctl q = latencies.(min (total_ops - 1) (int_of_float (q *. float_of_int total_ops))) in
-    (wall, float_of_int total_ops /. wall, pctl 0.5, pctl 0.99, makespan, !journal_events)
-  in
-  let w1, tput1, p50_1, p99_1, mk1, ev1 = drive ~domains:1 () in
-  let w4, tput4, p50_4, p99_4, mk4, ev4 = drive ~domains:4 () in
+  (* The churn drill, parameterized by worker domain count:
+     1024 logical loadgen sessions multiplexed over 8 client threads
+     submit the 60/25/15 add/remove/resize mix straight into the cluster
+     (the same closures the TCP sessions run, minus the sockets). Every
+     op is timed; every run is audited — nothing lost, directory
+     consistent, and the drill's journal audit on every shard. *)
   let t =
     Table.create
       ~title:
@@ -1450,20 +1270,33 @@ let e21 () =
       ~columns:
         [ "domains"; "wall time"; "ops/sec"; "p50"; "p99"; "makespan"; "journal events" ]
   in
-  let row d w tput p50 p99 mk ev =
+  (* One table row per run; the throughput is returned. *)
+  let drive ~domains () =
+    let drill = Drill.create ~domains ~m ~shards () in
+    let cluster = Drill.cluster drill in
+    let r =
+      Drill.churn drill ~threads:driver_threads ~sessions:sessions_per_thread
+        ~ops:ops_per_thread ~seed:4242 ~prefix:"" ()
+    in
+    (* Audit before scoring: the speed is worthless if the state is wrong. *)
+    let journal_events = audited "E21" drill in
+    let tput = float_of_int total_ops /. r.Drill.wall in
     Table.add_row t
       [
-        string_of_int d;
-        pf "%.3f s" w;
+        string_of_int domains;
+        pf "%.3f s" r.Drill.wall;
         pf "%.0f" tput;
-        pf "%.0f us" (p50 *. 1e6);
-        pf "%.0f us" (p99 *. 1e6);
-        string_of_int mk;
-        string_of_int ev;
-      ]
+        pf "%.0f us" (Drill.percentile r 0.5 *. 1e6);
+        pf "%.0f us" (Drill.percentile r 0.99 *. 1e6);
+        string_of_int (Cluster.makespan cluster);
+        string_of_int journal_events;
+      ];
+    Cluster.merge_metrics cluster ~into:(Metrics.Registry.current ());
+    Cluster.shutdown cluster;
+    tput
   in
-  row 1 w1 tput1 p50_1 p99_1 mk1 ev1;
-  row 4 w4 tput4 p50_4 p99_4 mk4 ev4;
+  let tput1 = drive ~domains:1 () in
+  let tput4 = drive ~domains:4 () in
   Table.print t;
   let speedup = tput4 /. tput1 in
   let cores = Domain.recommended_domain_count () in
@@ -1483,161 +1316,94 @@ let e21 () =
     failwith "E21: multi-domain throughput collapsed against the single-domain run";
   Some speedup
 
-(* ---------------------------------------------------------------------- *)
-(* E22 — tracing overhead: 1/64 head sampling + 10ms tail capture.        *)
-(* ---------------------------------------------------------------------- *)
-
-let e22 () =
-  header "E22: tracing overhead (1/64 head sampling + 10ms tail capture, 4 domains)";
-  let module Engine = Rebal_online.Engine in
-  let module Cluster = Rebal_online.Cluster in
-  let module Replay = Rebal_online.Replay in
-  let module Optrace = Rebal_obs.Optrace in
-  let shards = 8 and m = 32 and domains = 4 in
-  let driver_threads = 8 and ops_per_thread = 2_000 in
-  let total_ops = driver_threads * ops_per_thread in
-  (* The E21 driver with every op wrapped in the session-boundary
-     [Optrace.with_op] — exactly what handle_line does. [traced] flips
-     the production knobs (head 1/64 + 10ms tail); untraced leaves both
-     off, where with_op must cost two atomic loads. Both runs keep the
-     full E21 audit: nothing lost, directory consistent, every shard
-     journal replays without divergence — tracing must not perturb the
-     event stream. *)
-  let drive ~traced () =
-    Optrace.reset ();
-    if traced then begin
-      Optrace.set_sample_every 64;
-      Optrace.set_slow_threshold_ns 10_000_000
-    end
-    else begin
-      Optrace.set_sample_every 0;
-      Optrace.set_slow_threshold_ns (-1)
-    end;
-    let buffers = Array.init shards (fun _ -> Buffer.create 65536) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i ->
-          Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m ~shards ~domains ()
-    in
-    let survivors = Array.make driver_threads 0 in
-    let latencies = Array.make total_ops 0.0 in
-    let driver t () =
-      let rng = Rng.create (22422 + t) in
-      let live = ref [] in
-      let next = ref 0 in
-      let n = ref 0 in
-      for i = 0 to ops_per_thread - 1 do
-        let started = Timer.now_ns () in
-        (match Rng.float rng 1.0 with
-        | r when r < 0.6 || !live = [] ->
-          let id = pf "e22t%d.%d" t !next in
-          incr next;
-          Optrace.with_op ~verb:"ADD" (fun () ->
-              match Cluster.add_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-              | Ok _ ->
-                live := id :: !live;
-                incr n
-              | Error e -> failwith ("E22: add rejected: " ^ e))
-        | r when r < 0.85 -> (
-          match !live with
-          | [] -> assert false
-          | id :: rest ->
-            Optrace.with_op ~verb:"REMOVE" (fun () ->
-                match Cluster.remove_job cluster ~id with
-                | Ok _ ->
-                  live := rest;
-                  decr n
-                | Error e -> failwith ("E22: remove rejected: " ^ e)))
-        | _ ->
-          let id = List.hd !live in
-          Optrace.with_op ~verb:"RESIZE" (fun () ->
-              match Cluster.resize_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-              | Ok _ -> ()
-              | Error e -> failwith ("E22: resize rejected: " ^ e)));
-        latencies.((t * ops_per_thread) + i) <-
-          Int64.to_float (Int64.sub (Timer.now_ns ()) started) /. 1e9;
-        if t = 0 && (i + 1) mod 500 = 0 then
-          Optrace.with_op ~verb:"REBALANCE" (fun () ->
-              ignore (Cluster.rebalance cluster ~k:8))
-      done;
-      survivors.(t) <- !n
-    in
-    Gc.compact ();
-    let (), wall =
-      Timer.time (fun () ->
-          let ts = Array.init driver_threads (fun t -> Thread.create (driver t) ()) in
-          Array.iter Thread.join ts)
-    in
-    if Cluster.job_count cluster <> Array.fold_left ( + ) 0 survivors then
-      failwith "E22: jobs lost or duplicated under concurrency";
-    if not (Cluster.check_consistency cluster ~k:max_int) then
-      failwith "E22: directory/engine consistency check failed";
-    if traced && Optrace.recorded () = [] then
-      failwith "E22: tracing enabled but no spans recorded at the op boundary";
-    Cluster.shutdown cluster;
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.run with
-        | Error e -> failwith (pf "E22: shard %d journal replay: %s" i e)
-        | Ok o ->
-          let eng = Cluster.engine cluster i in
-          if
-            (not o.Replay.consistency_ok)
-            || o.Replay.final_jobs <> Engine.job_count eng
-            || o.Replay.final_makespan <> Engine.makespan eng
-          then failwith (pf "E22: shard %d journal replay diverges with tracing on" i))
-      buffers;
-    Optrace.set_sample_every 0;
-    Optrace.set_slow_threshold_ns (-1);
-    Array.sort compare latencies;
-    let pctl q = latencies.(min (total_ops - 1) (int_of_float (q *. float_of_int total_ops))) in
-    (wall, float_of_int total_ops /. wall, pctl 0.99)
-  in
-  (* Interleaved pairs, scored best-of per arm: scheduler noise only
-     ever slows a run down, never speeds it up, so the fastest run of
-     each arm is the cleanest estimate of its true cost — and tracing
-     overhead is systematic, so it cannot hide in the best traced run. *)
+(* E22/E23: five interleaved (off, on) pairs of [drive], tabulated and
+   scored best-of per arm, then gated. Scheduler noise only ever slows
+   a run down, never speeds it up, so the fastest run of each arm is the
+   cleanest estimate of its true cost — and a systematic overhead cannot
+   hide in the best run of its arm. Like E21's speedup bound, the 10%
+   overhead budget ([floor] on the ratio) is a claim about parallel
+   hardware: with fewer than 4 cores the worker domains (and E23's
+   sampler thread) time-slice one another and run-to-run scheduling
+   noise exceeds the budget being measured, so there the guard only
+   rejects collapse. The audits inside [drive] hold unconditionally. *)
+let overhead ~name ~title ~off ~on ~what ~floor ~shards ~note drive =
   let pairs = 5 in
   let t =
     Table.create
-      ~title:(pf "S=%d shards, %d domains, %d ops per run, %d interleaved pairs" shards domains total_ops pairs)
-      ~columns:[ "pair"; "untraced ops/s"; "traced ops/s"; "ratio"; "untraced p99"; "traced p99" ]
+      ~title:(pf "%s, %d interleaved pairs" title pairs)
+      ~columns:[ "pair"; off ^ " ops/s"; on ^ " ops/s"; "ratio"; off ^ " p99"; on ^ " p99" ]
   in
   let runs =
     List.init pairs (fun i ->
-        let _, tput_u, p99_u = drive ~traced:false () in
-        let _, tput_t, p99_t = drive ~traced:true () in
+        let tput_off, p99_off = drive false in
+        let tput_on, p99_on = drive true in
         Table.add_row t
           [
             string_of_int (i + 1);
-            pf "%.0f" tput_u;
-            pf "%.0f" tput_t;
-            pf "%.3f" (tput_t /. tput_u);
-            pf "%.0f us" (p99_u *. 1e6);
-            pf "%.0f us" (p99_t *. 1e6);
+            pf "%.0f" tput_off;
+            pf "%.0f" tput_on;
+            pf "%.3f" (tput_on /. tput_off);
+            pf "%.0f us" (p99_off *. 1e6);
+            pf "%.0f us" (p99_on *. 1e6);
           ];
-        (tput_u, tput_t))
+        (tput_off, tput_on))
   in
   Table.print t;
   let best f = List.fold_left (fun acc r -> Float.max acc (f r)) 0.0 runs in
   let ratio = best snd /. best fst in
   let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "best traced / best untraced throughput ratio %.3f (%d cores available);\n\
+    "best %s / best %s throughput ratio %.3f (%d cores available);\n\
      every run audited: directories consistent, all %d journals replay with zero\n\
-     divergence with tracing enabled\n"
-    ratio cores shards;
-  (* Like E21's speedup bound, the 10%% overhead budget is a claim about
-     parallel hardware: with fewer than 4 cores the worker domains
-     time-slice one another and run-to-run scheduling noise exceeds the
-     budget being measured, so there the guard only rejects collapse.
-     The correctness audits above hold unconditionally either way. *)
-  if cores >= 4 && ratio < 0.9 then
-    failwith "E22: tracing overhead above the 10%% acceptance budget";
+     divergence%s\n"
+    on off ratio cores shards note;
+  if cores >= 4 && ratio < floor then
+    failwith (pf "%s: %s overhead above the 10%% acceptance budget" name what);
   if ratio < 0.5 then
-    failwith "E22: traced throughput collapsed against the untraced run";
+    failwith (pf "%s: %s throughput collapsed against the %s run" name on off);
   Some ratio
+
+(* ---------------------------------------------------------------------- *)
+(* E22 — tracing overhead: 1/64 head sampling + 10ms tail capture.        *)
+(* ---------------------------------------------------------------------- *)
+
+let e22 () =
+  header "E22: tracing overhead (1/64 head sampling + 10ms tail capture, 4 domains)";
+  let module Drill = Rebal_drill.Drill in
+  let module Cluster = Rebal_online.Cluster in
+  let module Optrace = Rebal_obs.Optrace in
+  let shards = 8 and m = 32 and domains = 4 in
+  let driver_threads = 8 and ops_per_thread = 2_000 in
+  let total_ops = driver_threads * ops_per_thread in
+  (* The churn drill, one session per thread, with every op wrapped in
+     the session-boundary [Optrace.with_op] — exactly what handle_line
+     does. [traced] flips the production knobs (head 1/64 + 10ms tail);
+     untraced leaves both off, where with_op must cost two atomic loads.
+     Both runs keep the full audit: nothing lost, directory consistent,
+     and the drill's journal audit — tracing must not perturb the event
+     stream. *)
+  let drive ~traced () =
+    Optrace.reset ();
+    Optrace.set_sample_every (if traced then 64 else 0);
+    Optrace.set_slow_threshold_ns (if traced then 10_000_000 else -1);
+    let drill = Drill.create ~domains ~m ~shards () in
+    let cluster = Drill.cluster drill in
+    let r =
+      Drill.churn drill ~threads:driver_threads ~sessions:1 ~ops:ops_per_thread ~seed:22422
+        ~prefix:"e22" ~wrap:(fun verb f -> Optrace.with_op ~verb f) ()
+    in
+    if traced && Optrace.recorded () = [] then
+      failwith "E22: tracing enabled but no spans recorded at the op boundary";
+    ignore (audited "E22" drill);
+    Cluster.shutdown cluster;
+    Optrace.set_sample_every 0;
+    Optrace.set_slow_threshold_ns (-1);
+    (float_of_int total_ops /. r.Drill.wall, Drill.percentile r 0.99)
+  in
+  overhead ~name:"E22"
+    ~title:(pf "S=%d shards, %d domains, %d ops per run" shards domains total_ops)
+    ~off:"untraced" ~on:"traced" ~what:"tracing" ~floor:0.9 ~shards ~note:" with tracing enabled"
+    (fun traced -> drive ~traced ())
 
 (* ---------------------------------------------------------------------- *)
 (* E23 — telemetry overhead: 50 Hz sampling + 10 active alert rules.      *)
@@ -1645,9 +1411,8 @@ let e22 () =
 
 let e23 () =
   header "E23: telemetry overhead (50 Hz sampling + 10 active alert rules, 4 domains)";
-  let module Engine = Rebal_online.Engine in
+  let module Drill = Rebal_drill.Drill in
   let module Cluster = Rebal_online.Cluster in
-  let module Replay = Rebal_online.Replay in
   let module Tsdb = Rebal_obs.Tsdb in
   let module Alerts = Rebal_obs.Alerts in
   let shards = 8 and m = 32 and domains = 4 in
@@ -1679,21 +1444,17 @@ let e23 () =
     | Error e -> failwith ("E23: rules: " ^ e)
   in
   if List.length rules <> 10 then failwith "E23: expected 10 rules";
-  (* The E21/E22 driver mix, with [Control] (latency histograms) on in
-     BOTH arms so the ratio isolates exactly what this PR added: the
-     sampler walking a merged snapshot of every domain registry into the
-     ring store, ten rule evaluations per tick and the JSONL telemetry
-     sink. 50 Hz is 50x the production 1 s cadence — headroom, not
-     flattery. Both arms keep the full audit: nothing lost, directory
-     consistent, every shard journal replays with zero divergence. *)
+  (* The churn drill (one session per thread, as in E22), with
+     [Control] (latency histograms) on in BOTH arms so the ratio
+     isolates the telemetry itself: the sampler walking a merged
+     snapshot of every domain registry into the ring store, ten rule
+     evaluations per tick and the JSONL telemetry sink. 50 Hz is 50x the
+     production 1 s cadence — headroom, not flattery. Both arms keep the
+     full audit: nothing lost, directory consistent, and the drill's
+     journal audit. *)
   let drive ~telemetry () =
-    let buffers = Array.init shards (fun _ -> Buffer.create 65536) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i ->
-          Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m ~shards ~domains ()
-    in
+    let drill = Drill.create ~domains ~m ~shards () in
+    let cluster = Drill.cluster drill in
     let telemetry_buf = Buffer.create 65536 in
     let stop = ref false in
     let sampler =
@@ -1723,49 +1484,9 @@ let e23 () =
         Some (tsdb, alerts, thread)
       end
     in
-    let survivors = Array.make driver_threads 0 in
-    let latencies = Array.make total_ops 0.0 in
-    let driver t () =
-      let rng = Rng.create (23523 + t) in
-      let live = ref [] in
-      let next = ref 0 in
-      let n = ref 0 in
-      for i = 0 to ops_per_thread - 1 do
-        let started = Timer.now_ns () in
-        (match Rng.float rng 1.0 with
-        | r when r < 0.6 || !live = [] ->
-          let id = pf "e23t%d.%d" t !next in
-          incr next;
-          (match Cluster.add_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-          | Ok _ ->
-            live := id :: !live;
-            incr n
-          | Error e -> failwith ("E23: add rejected: " ^ e))
-        | r when r < 0.85 -> (
-          match !live with
-          | [] -> assert false
-          | id :: rest -> (
-            match Cluster.remove_job cluster ~id with
-            | Ok _ ->
-              live := rest;
-              decr n
-            | Error e -> failwith ("E23: remove rejected: " ^ e)))
-        | _ -> (
-          let id = List.hd !live in
-          match Cluster.resize_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-          | Ok _ -> ()
-          | Error e -> failwith ("E23: resize rejected: " ^ e)));
-        latencies.((t * ops_per_thread) + i) <-
-          Int64.to_float (Int64.sub (Timer.now_ns ()) started) /. 1e9;
-        if t = 0 && (i + 1) mod 500 = 0 then ignore (Cluster.rebalance cluster ~k:8)
-      done;
-      survivors.(t) <- !n
-    in
-    Gc.compact ();
-    let (), wall =
-      Timer.time (fun () ->
-          let ts = Array.init driver_threads (fun t -> Thread.create (driver t) ()) in
-          Array.iter Thread.join ts)
+    let r =
+      Drill.churn drill ~threads:driver_threads ~sessions:1 ~ops:ops_per_thread ~seed:23523
+        ~prefix:"e23" ()
     in
     (match sampler with
     | None -> ()
@@ -1792,69 +1513,16 @@ let e23 () =
           failwith "E23: telemetry journal mislabeled";
         if List.length events < Tsdb.samples_taken tsdb then
           failwith "E23: telemetry journal lost samples"));
-    if Cluster.job_count cluster <> Array.fold_left ( + ) 0 survivors then
-      failwith "E23: jobs lost or duplicated under concurrency";
-    if not (Cluster.check_consistency cluster ~k:max_int) then
-      failwith "E23: directory/engine consistency check failed";
+    ignore (audited "E23" drill);
     Cluster.shutdown cluster;
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.run with
-        | Error e -> failwith (pf "E23: shard %d journal replay: %s" i e)
-        | Ok o ->
-          let eng = Cluster.engine cluster i in
-          if
-            (not o.Replay.consistency_ok)
-            || o.Replay.final_jobs <> Engine.job_count eng
-            || o.Replay.final_makespan <> Engine.makespan eng
-          then failwith (pf "E23: shard %d journal replay diverges with telemetry on" i))
-      buffers;
-    Array.sort compare latencies;
-    let pctl q = latencies.(min (total_ops - 1) (int_of_float (q *. float_of_int total_ops))) in
-    (wall, float_of_int total_ops /. wall, pctl 0.99)
+    (float_of_int total_ops /. r.Drill.wall, Drill.percentile r 0.99)
   in
   Rebal_obs.Control.with_enabled true (fun () ->
-      let pairs = 5 in
-      let t =
-        Table.create
-          ~title:
-            (pf "S=%d shards, %d domains, %d ops per run, %d interleaved pairs" shards
-               domains total_ops pairs)
-          ~columns:[ "pair"; "quiet ops/s"; "telemetry ops/s"; "ratio"; "quiet p99"; "telemetry p99" ]
-      in
-      let runs =
-        List.init pairs (fun i ->
-            let _, tput_q, p99_q = drive ~telemetry:false () in
-            let _, tput_t, p99_t = drive ~telemetry:true () in
-            Table.add_row t
-              [
-                string_of_int (i + 1);
-                pf "%.0f" tput_q;
-                pf "%.0f" tput_t;
-                pf "%.3f" (tput_t /. tput_q);
-                pf "%.0f us" (p99_q *. 1e6);
-                pf "%.0f us" (p99_t *. 1e6);
-              ];
-            (tput_q, tput_t))
-      in
-      Table.print t;
-      let best f = List.fold_left (fun acc r -> Float.max acc (f r)) 0.0 runs in
-      let ratio = best snd /. best fst in
-      let cores = Domain.recommended_domain_count () in
-      Printf.printf
-        "best telemetry / best quiet throughput ratio %.3f (%d cores available);\n\
-         every run audited: directories consistent, all %d journals replay with zero\n\
-         divergence, and the telemetry arm took real samples through 10 live rules\n"
-        ratio cores shards;
-      (* Same hardware caveat as E21/E22: under 4 cores the sampler
-         thread time-slices the workers and scheduler noise swamps the
-         10%% budget being measured, so there the guard only rejects
-         collapse. The correctness audits above hold unconditionally. *)
-      if cores >= 4 && ratio < 1.0 /. 1.10 then
-        failwith "E23: telemetry overhead above the 10%% acceptance budget";
-      if ratio < 0.5 then
-        failwith "E23: telemetried throughput collapsed against the quiet run";
-      Some ratio)
+      overhead ~name:"E23"
+        ~title:(pf "S=%d shards, %d domains, %d ops per run" shards domains total_ops)
+        ~off:"quiet" ~on:"telemetry" ~what:"telemetry" ~floor:(1.0 /. 1.10) ~shards
+        ~note:", and the telemetry arm took real samples through 10 live rules"
+        (fun telemetry -> drive ~telemetry ()))
 
 (* ---------------------------------------------------------------------- *)
 (* E24 — the flat hot path: µs/event, minor words/event, binary journal.  *)

@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.12.0"
+let version = "1.13.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -1976,8 +1976,8 @@ let postmortem_cmd =
    and the router's own consistency check. Exit status 1 on any
    failure makes it a CI smoke test. *)
 let chaos_serve_cmd =
-  let module Engine = Rebal_online.Engine in
   let module Cluster = Rebal_online.Cluster in
+  let module Drill = Rebal_drill.Drill in
   let module Supervisor = Rebal_online.Supervisor in
   let module Protocol = Rebal_online.Protocol in
   let module Tsdb = Rebal_obs.Tsdb in
@@ -2091,29 +2091,14 @@ let chaos_serve_cmd =
       | Some f -> Rebal_sim.Fault.is_live f ~server:i ~time:t
       | None -> not (List.exists (fun (s, st) -> s = i && t >= st && t < st + down_for) kills)
     in
-    (* In-memory journals: one buffer per shard, written through the
-       engines' ordinary sinks, replayed wholesale at the end. *)
-    let buffers = Array.init shards (fun _ -> Buffer.create 4096) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i -> Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~domains:0 ~m:procs ~shards ()
-    in
-    let time = ref 0 in
-    let config =
-      {
-        Supervisor.default_config with
-        Supervisor.suspect_after = 1;
-        down_after = 2;
-        recovery_steps = 4;
-        evac_budget = Option.value evac_budget ~default:max_int;
-      }
-    in
-    let sup = Supervisor.create ~config ~probe:(fun i -> live i !time) cluster in
+    let drill = Drill.create ~domains:0 ~m:procs ~shards () in
     (* Per-step telemetry: the same store/rule-engine pair serve runs on
        a timer, ticked once per driven step. Journal events and samples
        share the monotonic clock, so postmortem lines them up. *)
     let telemetry_oc = ref None in
+    (* The drill creates the supervisor; [on_step] hands it over before
+       the first sample reads the source. *)
+    let supervisor = ref None in
     let telemetry =
       if telemetry_out = None && alert_rules = None then None
       else begin
@@ -2131,11 +2116,14 @@ let chaos_serve_cmd =
                    flush oc)
                  ())
         in
-        let target = Protocol.Supervised sup in
         let tsdb =
           Tsdb.create ?sink
             ~meta:[ ("mode", Journal.Str "chaos-serve"); ("shards", Journal.Int shards) ]
-            ~source:(fun () -> Metrics.Registry.metrics (Protocol.metrics_registry target))
+            ~source:(fun () ->
+              match !supervisor with
+              | None -> []
+              | Some sup ->
+                Metrics.Registry.metrics (Protocol.metrics_registry (Protocol.Supervised sup)))
             ()
         in
         let alerts =
@@ -2151,145 +2139,23 @@ let chaos_serve_cmd =
         Some (tsdb, alerts)
       end
     in
-    (* Reference model: what the workload believes is live. Anything the
-       cluster accepted must survive every kill and recovery. *)
-    let model = Hashtbl.create 1024 in
-    let live_ids = ref (Array.make 16 "") in
-    let n_live = ref 0 in
-    let push id =
-      if !n_live = Array.length !live_ids then begin
-        let bigger = Array.make ((2 * !n_live) + 16) "" in
-        Array.blit !live_ids 0 bigger 0 !n_live;
-        live_ids := bigger
-      end;
-      !live_ids.(!n_live) <- id;
-      incr n_live
-    in
-    let remove_at j =
-      !live_ids.(j) <- !live_ids.(!n_live - 1);
-      decr n_live
-    in
-    let rng = Rng.create seed in
-    let next_id = ref 0 in
-    let rejected = ref 0 in
-    let down_at = Array.make shards (-1) in
-    let recoveries = ref [] in
-    let downtime_weighted = ref 0.0 in
-    let failures = ref [] in
-    let failf fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    for t = 0 to horizon - 1 do
-      time := t;
-      ignore (Supervisor.tick sup);
-      for i = 0 to shards - 1 do
-        (match Supervisor.health sup i with
-        | Supervisor.Down when down_at.(i) < 0 -> down_at.(i) <- t
-        | Supervisor.Healthy when down_at.(i) >= 0 ->
-          recoveries := (i, down_at.(i), t) :: !recoveries;
-          down_at.(i) <- -1
-        | _ -> ());
-        (* Re-admission: the fault plan revived the shard, so rebuild
-           its engine from its own journal — the evacuation removes
-           were recorded, so the restored engine agrees with the
-           directory — and let the supervisor ramp it back in. *)
-        if Supervisor.health sup i = Supervisor.Down && live i t then begin
-          match
-            Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume
-          with
-          | Error msg -> failf "shard %d: restore for readmission failed: %s" i msg
-          | Ok (eng, outcome) ->
-            Engine.set_journal eng
-              (Some
-                 (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-                    ~write:(Buffer.add_string buffers.(i)) ()));
-            (match Supervisor.readmit sup i eng with
-            | Ok () -> ()
-            | Error msg -> failf "shard %d: readmission rejected: %s" i msg)
-        end
-      done;
-      for _ = 1 to ops_per_step do
-        let r = Rng.float rng 1.0 in
-        if r < 0.6 || !n_live = 0 then begin
-          let id = Printf.sprintf "c%d" !next_id in
-          incr next_id;
-          let size = Rng.int_range rng 1 100 in
-          match Supervisor.add_job sup ~id ~size with
-          | Ok _ ->
-            Hashtbl.replace model id size;
-            push id
-          | Error _ -> incr rejected
-        end
-        else begin
-          let j = Rng.int rng !n_live in
-          let id = !live_ids.(j) in
-          if r < 0.85 then (
-            match Supervisor.remove_job sup ~id with
-            | Ok _ ->
-              Hashtbl.remove model id;
-              remove_at j
-            | Error _ -> incr rejected)
-          else begin
-            let size = Rng.int_range rng 1 100 in
-            match Supervisor.resize_job sup ~id ~size with
-            | Ok _ -> Hashtbl.replace model id size
-            | Error _ -> incr rejected
-          end
-        end
-      done;
-      if (t + 1) mod period = 0 then ignore (Supervisor.rebalance sup ~k);
-      (* Downtime-weighted makespan, the chaos scoring rule: a step
-         served with dead shards counts its makespan once per missing
-         shard on top of the base weight. *)
-      let serving = Supervisor.serving_shards sup in
-      downtime_weighted :=
-        !downtime_weighted
-        +. (float_of_int (Cluster.makespan cluster) *. float_of_int (1 + shards - serving));
+    let on_step sup _ =
       match telemetry with
       | None -> ()
       | Some (tsdb, alerts) ->
+        supervisor := Some sup;
         Tsdb.sample tsdb;
         Option.iter (fun a -> ignore (Alerts.eval a)) alerts
-    done;
-    (* ----- the audit ----- *)
-    let lost =
-      Hashtbl.fold
-        (fun id size acc ->
-          match Cluster.find cluster id with
-          | Some (sz, _) when sz = size -> acc
-          | Some _ | None -> id :: acc)
-        model []
     in
-    if lost <> [] then
-      failf "%d job(s) lost or corrupted (e.g. %s)" (List.length lost)
-        (List.hd (List.sort compare lost));
-    if Cluster.job_count cluster <> Hashtbl.length model then
-      failf "cluster holds %d job(s), workload expects %d (strays or duplicates)"
-        (Cluster.job_count cluster) (Hashtbl.length model);
-    if not (Cluster.check_consistency cluster ~k:16) then failf "cluster consistency check failed";
-    let replays_clean = ref 0 in
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.resume with
-        | Error msg -> failf "shard %d journal replay: %s" i msg
-        | Ok (eng, _) ->
-          let live_eng = Cluster.engine cluster i in
-          let same_jobs =
-            Engine.fold_jobs live_eng
-              (fun acc ~id ~size ~proc ->
-                acc
-                &&
-                match Engine.find eng id with
-                | Some (sz, p) -> sz = size && p = proc
-                | None -> false)
-              true
-          in
-          if
-            Engine.job_count eng <> Engine.job_count live_eng
-            || Engine.makespan eng <> Engine.makespan live_eng
-            || not same_jobs
-          then failf "shard %d journal replay diverges from live state" i
-          else incr replays_clean)
-      buffers;
-    let h = Supervisor.stats sup in
+    let r =
+      Drill.failover drill ~live ~seed ~prefix:"c" ~horizon ~ops_per_step ~period ~k
+        ?evac_budget ~on_step ()
+    in
+    let failures = ref (List.rev r.Drill.failures) in
+    let failf fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+    (match Drill.audit drill with Ok _ -> () | Error msg -> failf "%s" msg);
+    let cluster = Drill.cluster drill in
+    let h = r.Drill.stats in
     Printf.printf "chaos-serve: %d shards, %d procs, %d steps x %d ops, seed=%d%s\n" shards
       procs horizon ops_per_step seed
       (if kills = [] then
@@ -2298,25 +2164,23 @@ let chaos_serve_cmd =
     Printf.printf
       "  evacuations=%d evacuated_jobs=%d stranded=%d readmissions=%d rejected_ops=%d\n"
       h.Supervisor.evacuations h.Supervisor.evacuated_jobs h.Supervisor.stranded_jobs
-      h.Supervisor.readmissions !rejected;
+      h.Supervisor.readmissions r.Drill.rejected;
     List.iter
       (fun (i, went_down, healthy_again) ->
         Printf.printf "  shard %d: down at step %d, healthy again at step %d (%d steps)\n" i
           went_down healthy_again (healthy_again - went_down))
-      (List.rev !recoveries);
-    Array.iteri
-      (fun i at ->
-        if at >= 0 then
-          Printf.printf "  shard %d: still %s at end (down since step %d)\n" i
-            (Supervisor.health_name (Supervisor.health sup i))
-            at)
-      down_at;
-    (match List.map (fun (_, d, h') -> h' - d) !recoveries with
+      r.Drill.recoveries;
+    List.iter
+      (fun (i, at, health) ->
+        Printf.printf "  shard %d: still %s at end (down since step %d)\n" i
+          (Supervisor.health_name health) at)
+      r.Drill.unrecovered;
+    (match List.map (fun (_, d, h') -> h' - d) r.Drill.recoveries with
     | [] -> ()
     | xs ->
       Printf.printf "  mean recovery: %.1f steps\n"
         (float_of_int (List.fold_left ( + ) 0 xs) /. float_of_int (List.length xs)));
-    Printf.printf "  downtime-weighted makespan: %.0f\n" !downtime_weighted;
+    Printf.printf "  downtime-weighted makespan: %.0f\n" r.Drill.downtime_weighted;
     Printf.printf "  jobs live: %d, makespan: %d\n" (Cluster.job_count cluster)
       (Cluster.makespan cluster);
     (match telemetry with
@@ -2330,15 +2194,14 @@ let chaos_serve_cmd =
     (match journal_out with
     | None -> ()
     | Some base ->
-      Array.iteri
-        (fun i buf ->
-          let path = Printf.sprintf "%s.%d" base i in
-          try
-            let oc = open_out path in
-            output_string oc (Buffer.contents buf);
-            close_out oc
-          with Sys_error e -> failf "cannot write journal %s: %s" path e)
-        buffers;
+      for i = 0 to shards - 1 do
+        let path = Printf.sprintf "%s.%d" base i in
+        try
+          let oc = open_out path in
+          Buffer.output_buffer oc (Drill.journal drill i);
+          close_out oc
+        with Sys_error e -> failf "cannot write journal %s: %s" path e
+      done;
       Printf.printf "  journals written to %s.0 .. %s.%d\n" base base (shards - 1));
     (match !telemetry_oc with
     | Some oc -> ( try close_out oc with Sys_error _ -> ())
@@ -2347,7 +2210,7 @@ let chaos_serve_cmd =
     | [] ->
       Printf.printf
         "  verification: OK (no lost jobs, %d/%d journals replay clean, consistency ok)\n"
-        !replays_clean shards
+        shards shards
     | fs ->
       List.iter (fun f -> Printf.eprintf "chaos-serve: FAIL: %s\n" f) (List.rev fs);
       exit 1

@@ -513,8 +513,12 @@ let reserve t ~jobs =
 
 let repair ~auto t ~k =
   if k < 0 then invalid_arg "Engine.rebalance: negative k";
+  (* The effective budget: a full repair ([k = max_int], a bare
+     REBALANCE) is spanned and journaled as the live job count. Replay
+     re-applies it unchanged, since [min limit live = limit]. *)
+  let limit = min k t.live in
   Optrace.with_span "engine.repair"
-    ~attrs:[ ("k", string_of_int k); ("auto", string_of_bool auto) ]
+    ~attrs:[ ("k", string_of_int limit); ("auto", string_of_bool auto) ]
   @@ fun () ->
   (* Decision-time context for the journal, captured before any load
      changes. Both reads are O(1); skipped entirely when not journaling. *)
@@ -529,7 +533,6 @@ let repair ~auto t ~k =
      Each lift records where the job came from and the source load
      before/after — the "why this job" half of the provenance. *)
   let lifted = ref 0 in
-  let limit = min k t.live in
   (try
      while !lifted < limit do
        let p = Indexed_heap.min_key_exn t.max_heap in
@@ -618,7 +621,7 @@ let repair ~auto t ~k =
   | Some (sink, makespan_before, imbalance_before) ->
     Journal.emit sink ~kind:"rebalance"
       [
-        ("k", Journal.Int k);
+        ("k", Journal.Int limit);
         ("auto", Journal.Bool auto);
         ("trigger", Journal.Str (trigger_name t.trigger));
         ("imbalance_before", Journal.Float imbalance_before);

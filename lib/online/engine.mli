@@ -217,7 +217,9 @@ val rebalance : t -> k:int -> move list
     does, then reinsert them in descending size order onto the
     least-loaded processors. [O((k + m) log m + k log k)] — no
     from-scratch solve. Returns the jobs that actually changed processor.
-    Resets the trigger epoch.
+    Resets the trigger epoch. The journal's [rebalance] event and the
+    [engine.repair] span carry the effective budget [min k live_jobs],
+    so a full repair ([k = max_int]) records the live job count.
     @raise Invalid_argument if [k < 0]. *)
 
 val stats : t -> stats

@@ -175,6 +175,38 @@ let test_repair_in_op_tree () =
         repairs)
     [ 0; 2 ]
 
+(* A bare REBALANCE is [rebalance ~k:max_int]; the span and the journal
+   must carry the effective budget (the live job count), not the
+   sentinel, and the journal must still replay without divergence. *)
+let test_full_repair_budget () =
+  with_tracing ~sample:1 ~slow_ns:(-1) @@ fun () ->
+  let module Engine = Rebal_online.Engine in
+  let module Journal = Rebal_obs.Journal in
+  let buf = Buffer.create 1024 in
+  let e = Engine.create ~journal:(Journal.create ~write:(Buffer.add_string buf) ()) ~m:3 () in
+  let n = 10 in
+  for i = 1 to n do
+    ignore (Engine.add_job e ~id:(Printf.sprintf "f%d" i) ~size:(i * 7))
+  done;
+  Optrace.reset ();
+  ignore (Optrace.with_op ~verb:"REBALANCE" (fun () -> Engine.rebalance e ~k:max_int));
+  let repairs =
+    List.filter (fun (sp : Optrace.span) -> sp.name = "engine.repair") (Optrace.recorded ())
+  in
+  Alcotest.(check (list string)) "span budget" [ string_of_int n ]
+    (List.map (fun (sp : Optrace.span) -> List.assoc "k" sp.attrs) repairs);
+  match Journal.parse_string (Buffer.contents buf) with
+  | Error err -> Alcotest.failf "journal parse: %s" err
+  | Ok ((_, events) as journal) -> (
+    let rebalances = List.filter (fun (ev : Journal.event) -> ev.kind = "rebalance") events in
+    Alcotest.(check (list (result int string))) "journaled budget" [ Ok n ]
+      (List.map (fun ev -> Journal.int_field ev "k") rebalances);
+    match Rebal_online.Replay.run journal with
+    | Error err -> Alcotest.failf "replay: %s" err
+    | Ok o ->
+      Alcotest.(check bool) "replay consistent" true o.Rebal_online.Replay.consistency_ok;
+      Alcotest.(check int) "replayed makespan" (Engine.makespan e) o.final_makespan)
+
 (* ----- the unsampled path allocates nothing ----- *)
 
 (* Outside every sampled op the span entry points answer from one
@@ -310,6 +342,7 @@ let () =
           Alcotest.test_case "orphan promotion" `Quick test_orphan_promotion;
           QCheck_alcotest.to_alcotest prop_trees_well_formed;
           Alcotest.test_case "repair under shard span" `Quick test_repair_in_op_tree;
+          Alcotest.test_case "full repair records its budget" `Quick test_full_repair_budget;
           Alcotest.test_case "unsampled allocates nothing" `Quick
             test_unsampled_allocates_nothing;
         ] );

@@ -12,6 +12,7 @@ module Cluster = Rebal_online.Cluster
 module Supervisor = Rebal_online.Supervisor
 module Replay = Rebal_online.Replay
 module Journal = Rebal_obs.Journal
+module Drill = Rebal_drill.Drill
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -354,6 +355,51 @@ let test_all_down_refuses () =
     ((Supervisor.stats sup).Supervisor.stranded_jobs >= 1);
   cluster
 
+(* ----- the failover drill on both executors ----- *)
+
+let kills = [ (2, 20); (5, 40) ]
+let killed i t = List.exists (fun (s, st) -> s = i && t >= st && t < st + 30) kills
+
+let test_drill_failover () =
+  List.iter
+    (fun domains ->
+      let drill = Drill.create ~domains ~m:32 ~shards:8 () in
+      let r =
+        Drill.failover drill ~live:(fun i t -> not (killed i t)) ~seed:9 ~prefix:"d" ~horizon:120
+          ~ops_per_step:8 ~period:10 ~k:16 ()
+      in
+      let at = Printf.sprintf "D=%d %s" domains in
+      check (Alcotest.list Alcotest.string) (at "no failures") [] r.Drill.failures;
+      check_int (at "no rejected ops") 0 r.Drill.rejected;
+      check_int (at "both kills readmitted") 2 r.Drill.stats.Supervisor.readmissions;
+      check_int (at "both kills recovered") 2 (List.length r.Drill.recoveries);
+      check (Alcotest.result Alcotest.pass Alcotest.string) (at "audit") (Ok 0) (Drill.audit drill);
+      Cluster.shutdown (Drill.cluster drill))
+    executors
+
+(* Dropping a shard's last event (here: the add just routed to it)
+   must fail the audit, naming that shard. *)
+let test_drill_audit_torn_journal () =
+  on_executors @@ fun ~domains ->
+  let drill = Drill.create ~domains ~m:8 ~shards:4 () in
+  let cluster = Drill.cluster drill in
+  for i = 0 to 19 do
+    ignore (ok (Cluster.add_job cluster ~id:(Printf.sprintf "j%d" i) ~size:(1 + i)))
+  done;
+  ignore (ok (Cluster.add_job cluster ~id:"last" ~size:7));
+  check_bool "clean before the cut" true (Result.is_ok (Drill.audit drill));
+  let s = Option.get (Cluster.shard_of cluster "last") in
+  let buf = Drill.journal drill s in
+  let text = Buffer.contents buf in
+  Buffer.truncate buf (String.rindex_from text (String.length text - 2) '\n' + 1);
+  (match Drill.audit drill with
+  | Ok _ -> Alcotest.fail "audit passed a journal missing its last event"
+  | Error e ->
+    check Alcotest.string "names the torn shard"
+      (Printf.sprintf "shard %d journal replay diverges from live state" s)
+      e);
+  cluster
+
 let () =
   Alcotest.run "rebal_supervisor"
     [
@@ -371,5 +417,10 @@ let () =
           Alcotest.test_case "budgeted evacuation strands loudly" `Quick test_degraded_mode;
           Alcotest.test_case "readmission validation" `Quick test_readmit_validation;
           Alcotest.test_case "all shards down refuses service" `Quick test_all_down_refuses;
+        ] );
+      ( "drill",
+        [
+          Alcotest.test_case "failover on both executors" `Quick test_drill_failover;
+          Alcotest.test_case "audit names a torn journal" `Quick test_drill_audit_torn_journal;
         ] );
     ]
